@@ -558,6 +558,42 @@ func BenchmarkE12CompactPass(b *testing.B) {
 			}
 		})
 	}
+	// The benchmark workloads' store: the even keys of [0, 2^20)
+	// bulk-loaded into an 8-shard map. A pass costs what the updates since
+	// the last one cost, not what the 2^19 keys cost.
+	for _, updates := range []int{0, 1000, 100_000} {
+		name := "sharded-2^19/quiescent"
+		if updates > 0 {
+			name = "sharded-2^19/after-" + itoa(int64(updates))
+		}
+		b.Run(name, func(b *testing.B) {
+			const k = 1 << 20
+			m := bst.NewShardedRange(0, k-1, 8)
+			keys := make([]int64, 0, k/2)
+			for x := int64(0); x < k; x += 2 {
+				keys = append(keys, x)
+			}
+			if _, err := m.BulkLoad(keys); err != nil {
+				b.Fatal(err)
+			}
+			m.Compact()
+			rng := workload.NewRNG(31)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for j := 0; j < updates; j++ {
+					if x := rng.Intn(k); j%2 == 0 {
+						m.Insert(x)
+					} else {
+						m.Delete(x)
+					}
+				}
+				b.StartTimer()
+				m.Compact()
+			}
+		})
+	}
 }
 
 // BenchmarkE12Allocs — experiment E12 (allocation axis): allocator

@@ -167,17 +167,19 @@ func (t *Tree) Snapshot() *Snapshot { return t.t.Snapshot() }
 // collector. Without compaction the tree retains every version ever
 // created, so heap grows with the total update count; with periodic
 // compaction steady-state memory is proportional to the live set plus
-// the versions pinned by open snapshots. Safe concurrently with any mix
-// of operations; scans running during a Compact stay wait-free and
-// linearizable. See DESIGN.md §6.
+// the versions pinned by open snapshots. A pass drains the updates
+// retired since the previous pass; it never walks the tree. Safe
+// concurrently with any mix of operations; scans running during a
+// Compact stay wait-free and linearizable. See DESIGN.md §6.
 func (t *Tree) Compact() CompactStats { return t.t.Compact() }
 
 // StartAutoCompact runs Compact every interval on a background goroutine
 // until the returned stop function is called. Typical intervals are
-// hundreds of milliseconds to seconds: each pass costs a walk of the
-// live version graph; a non-positive interval defaults to one second.
-// The stop function is idempotent and waits for an in-flight pass to
-// finish.
+// hundreds of milliseconds to seconds: each pass costs time proportional
+// to the updates since the previous pass (an idle tree's pass is O(1)),
+// so the interval trades pass overhead against how long garbage waits; a
+// non-positive interval defaults to one second. The stop function is
+// idempotent and waits for an in-flight pass to finish.
 func (t *Tree) StartAutoCompact(interval time.Duration) (stop func()) {
 	return autoCompact(interval, func() { t.Compact() })
 }

@@ -85,6 +85,8 @@ func (m *Map[V]) Compact() CompactStats {
 
 // StartAutoCompact runs Compact every interval on a background goroutine
 // until the returned stop function is called; see (*Tree).StartAutoCompact.
+// Unlike the set's, a Map pass still walks the live version graph
+// (internal/pnbmap keeps the whole-graph pruner), so it costs O(map size).
 func (m *Map[V]) StartAutoCompact(interval time.Duration) (stop func()) {
 	return autoCompact(interval, func() { m.Compact() })
 }

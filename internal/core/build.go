@@ -63,6 +63,9 @@ func BuildFromSorted(c *Clock, n int, next func() (int64, bool)) (*Tree, error) 
 	wrap.left.Store(sub)
 	wrap.right.Store(t.newLeaf(inf1, 0))
 	t.root.left.Store(wrap)
+	// n leaves, n-1 internals, wrap, the root and its two sentinel leaves:
+	// the size an insert-built tree of n keys has (3 + 2 per insert).
+	t.pool.liveNodes = 2*n + 3
 	return t, nil
 }
 

@@ -101,7 +101,10 @@ func FuzzTreeVsOracle(f *testing.F) {
 		for len(cuts) > 0 {
 			verifyOldest()
 		}
-		tr.Compact()
+		// Quiescent: the drain's |T_H| must be the whole version graph.
+		if cs, vg := tr.Compact(), tr.VersionGraphSize(); cs.LiveNodes != vg {
+			t.Fatalf("final Compact reports %d live nodes, version graph holds %d", cs.LiveNodes, vg)
+		}
 		if err := tr.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}

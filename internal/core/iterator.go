@@ -44,9 +44,7 @@ func (it *Iterator) descend(n *node) {
 			it.stack = append(it.stack, n)
 			return
 		}
-		if in := n.update.Load().info; inProgress(in) {
-			it.t.help(in)
-		}
+		it.t.helpIfPending(n)
 		if it.lo > n.key { // whole window right of the split key
 			n = mustReadChild(n, false, it.seq)
 			continue

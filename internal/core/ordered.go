@@ -100,10 +100,24 @@ func (t *Tree) rightmostLeaf(n *node, seq uint64) *node {
 }
 
 // helpIfPending helps the update frozen on n, if one is in progress
-// (never the dummy, whose state is Abort).
+// (never the dummy, whose state is Abort). It is the help of registered
+// readers, which hold no pin: help reads the info's node references, and
+// Compact clears those in place once every pin taken before the attempt
+// was decided has drained (prune.go). So the rare help pins first and
+// re-checks inProgress under the pin: an attempt still undecided then
+// cannot have its references cleared until this pin is released.
 func (t *Tree) helpIfPending(n *node) {
 	if in := n.update.Load().info; inProgress(in) {
+		t.helpPinned(n.key, in)
+	}
+}
+
+// helpPinned is helpIfPending's slow path: pin, re-check, help.
+func (t *Tree) helpPinned(k int64, in *info) {
+	s := t.pool.pins.enter(k)
+	if inProgress(in) {
 		t.stats.helps.Add(1)
 		t.help(in)
 	}
+	t.pool.pins.exit(s)
 }

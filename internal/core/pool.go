@@ -6,36 +6,47 @@ import (
 	"sync/atomic"
 )
 
-// This file implements post-horizon memory recycling for nodes and infos.
+// This file implements post-horizon memory recycling for nodes and the
+// in-place clearing of decided infos.
 //
 // Reclamation happens in three stages, all driven by Compact (prune.go):
 //
-//  1. Cut: the pruner disconnects version chains whose tails have fallen
-//     below the reclamation horizon H (no registered reader's phase is
-//     below H, so no registered reader can need them).
-//  2. Limbo: the nodes made unreachable by the cuts — plus the retired
-//     replacement infos attached to them — are collected into a
-//     limboBatch. They cannot be reused yet: an UNREGISTERED traversal
-//     (Find/Insert/Delete, or a helper inside one) may still hold
-//     pointers into the batch, read before the cut, and may still issue
-//     freeze CASes whose expected values are descriptors in the batch.
-//  3. Drain + recycle: every traversal passes through a striped pin
-//     counter for its full duration. The batch records which stripes
-//     were non-zero after the cuts; a later Compact clears a stripe's
-//     bit once it observes that stripe at zero. When all bits clear,
-//     every traversal that could have seen the batch's memory has
-//     finished (sync/atomic's seq-cst total order makes the
-//     cut-store → zero-load → pin-add → traversal-load chain airtight),
-//     so the objects are poisoned and pushed to the per-tree pools.
+//  1. Cut: the pruner drains the retire stack — every published attempt
+//     info, pushed by its owner once help returned — and, for each
+//     committed attempt whose phase has fallen to the reclamation horizon
+//     H, cuts newChild.prev. Behind that cut are exactly the nodes the
+//     attempt marked, and no registered reader (phase >= H) can need them.
+//  2. Limbo: the marked nodes, plus the drained infos themselves, are
+//     collected into a limboBatch. Neither can be touched yet: an
+//     UNREGISTERED traversal (Find/Insert/Delete/ApplyOps, or a helper
+//     inside one) may still hold pointers into the batch, read before the
+//     cut, may still issue CASes on those nodes, and may still be inside
+//     help reading a drained info's node references.
+//  3. Drain + recycle: every unregistered traversal, and every help by a
+//     registered reader, holds a striped pin counter for its full
+//     duration. The batch records which stripes were non-zero after the
+//     cuts; a later observation clears a stripe's bit once it sees that
+//     stripe at zero. When all bits clear, every traversal that could
+//     have seen the batch's memory has finished (sync/atomic's seq-cst
+//     total order makes the cut-store → zero-load → pin-add →
+//     traversal-load chain airtight), so the nodes are poisoned and
+//     pushed to the per-tree node pool, and the infos have their node
+//     references cleared in place.
+//
+// Infos are cleared, never pooled: live nodes keep pointing at a decided
+// info through their update fields for as long as they live, so its
+// address must keep naming that one attempt. Only infos that were never
+// published (their first freeze CAS failed) return to the info pool.
 //
 // Why this preserves the paper's no-ABA argument (Lemma 7): a freeze CAS
 // succeeds spuriously only if its expected *descriptor is re-installed at
-// the same address. A descriptor address enters the pool only after (a)
-// the horizon passed every registered reader and (b) the pin drain proved
-// no unregistered traversal from before the cut is still running. Any CAS
-// issued after that is by a traversal that pinned after the drain, whose
-// expected values were therefore read after the recycled object left the
-// tree — it can only expect the object's NEW incarnation. DESIGN.md §10
+// the same address. Descriptors live inside infos, and no published info
+// is ever handed out again, so that cannot happen through infos. A node
+// address re-enters circulation only after (a) the horizon passed every
+// registered reader and (b) the pin drain proved no unregistered
+// traversal from before the cut is still running; any CAS issued after
+// that is by a traversal that pinned after the drain, whose targets were
+// therefore read after the recycled node left the tree. DESIGN.md §10
 // has the full argument, including the suspended-helper case.
 
 // poisonSeq is stored in the seq bits of a recycled node's seqLeaf while
@@ -56,16 +67,15 @@ type pinStripe struct {
 	_ [56]byte
 }
 
-// pinTable is a striped count of in-flight UNREGISTERED traversals:
-// Find, TryInsert and TryDelete (and the helping they do) hold a pin for
-// their full duration. Registered readers (scans, snapshots, ordered
-// queries, iterators) do NOT pin — the horizon already protects them:
-// every chain's first phase-<=H node is in the pruner's visited set, a
-// registered reader at phase s >= H stops there or earlier, and the
-// attempts it can help are in-progress ones whose nodes cannot be
-// garbage (a frozen node blocks its own replacement; see DESIGN.md §10).
-// Stripes exist only to spread contention; correctness needs only that
-// each unregistered traversal holds SOME stripe.
+// pinTable is a striped count of in-flight traversals that may touch
+// limbo memory: Find, TryInsert, TryDelete and TryApplyOps (and the
+// helping they do) hold a pin for their full duration. Registered readers
+// (scans, snapshots, ordered queries, iterators) pin only around their
+// rare help (helpIfPending); their traversals need no pin because the
+// horizon already protects them — a registered reader at phase s >= H
+// stops at every committed attempt's newChild (phase <= H) or earlier, so
+// it never steps behind a cut. Stripes exist only to spread contention;
+// correctness needs only that each such traversal holds SOME stripe.
 type pinTable struct {
 	stripes [pinStripes]pinStripe
 }
@@ -81,50 +91,57 @@ func (p *pinTable) exit(i int) {
 	p.stripes[i].n.Add(-1)
 }
 
-// idle reports whether no traversal currently holds any pin.
-func (p *pinTable) idle() bool {
-	for i := range p.stripes {
-		if p.stripes[i].n.Load() != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// limboBatch holds one Compact pass's garbage until the pin drain proves
-// it unreachable from any in-flight traversal.
+// limboBatch holds one drain's garbage until the pin drain proves it
+// unreachable from any in-flight traversal.
 type limboBatch struct {
-	nodes   []*node
-	infos   []*info
-	waiting uint64 // bit i set ⇒ stripe i not yet observed idle since the batch's cuts
+	nodes   []*node // marked nodes of drained commits: poisoned and pooled
+	infos   []*info // drained attempt infos: node references cleared in place
+	waiting uint64  // bit i set ⇒ stripe i not yet observed idle since the batch's cuts
 }
 
-// poolState is the recycling machinery embedded in Tree.
+// poolState is the reclamation machinery embedded in Tree.
 type poolState struct {
 	pins    pinTable
-	pooling atomic.Bool // recycling enabled (default on; SetPooling)
+	pooling atomic.Bool // node recycling enabled (default on; SetPooling)
 
-	// compactMu serializes Compact passes: limbo needs a single writer,
-	// and cut-head collection relies on one pruner at a time.
+	// retired is the retire stack's head: a Treiber stack linked through
+	// info.retireNext. Owners push (retire); only Compact pops, and it
+	// pops the whole stack at once, so there is no ABA.
+	retired atomic.Pointer[info]
+
+	// compactMu serializes Compact passes; everything below it is guarded
+	// by it.
 	compactMu sync.Mutex
 
-	// pass numbers the Compact passes (guarded by compactMu, starting at
-	// 1): each pass stamps the nodes it reaches with its number, which is
-	// the pruner's visited set (node.visit in types.go).
-	pass uint64
+	// horizon is the highest horizon a pass has used. Passes never go
+	// below it (prune.go), which is safe because every reader registered
+	// after a pass read the clock holds a phase at or above that pass's
+	// horizon (epoch's ordering contract).
+	horizon uint64
 
-	// limbo is guarded by compactMu: only Compact appends and reaps.
-	limbo []*limboBatch
+	// liveNodes is |T_H|, the size of the tree at the last pass's horizon
+	// phase: seeded by New/BuildFromSorted, then +2 per drained insert
+	// commit and -2 per drained delete commit.
+	liveNodes int
+
+	// pending holds popped infos that could not be drained yet (phase
+	// above the horizon); retried first by every pass.
+	pending []*info
+
+	limbo []*limboBatch // awaiting their pin drain
+	ripe  []*limboBatch // drained, recycled at the end of the pass
+	spare []*limboBatch // emptied batches whose slices the next drains reuse
 
 	nodes sync.Pool // of *node, poisoned
-	infos sync.Pool // of *info, cleared
+	infos sync.Pool // of *info, cleared and never published
 }
 
 // SetPooling enables or disables node/info recycling. It defaults to on;
 // the off position exists for the E12 ablation and for allocation-budget
 // tests that need deterministic allocation counts. Turning pooling off
-// stops both reuse and limbo collection (garbage reverts to the GC);
-// objects already in the pools are simply never handed out again.
+// stops both reuse and limbo collection of nodes (garbage reverts to the
+// GC); objects already in the pools are simply never handed out again.
+// Drained infos are cleared either way.
 func (t *Tree) SetPooling(on bool) { t.pool.pooling.Store(on) }
 
 // PoolingEnabled reports whether node/info recycling is on.
@@ -186,23 +203,36 @@ func (t *Tree) newInfo() *info {
 // was never installed anywhere, so no other goroutine can hold a
 // reference and it is immediately reusable.
 func (t *Tree) recycleUnpublished(in *info) {
-	if t.pool.pooling.Load() {
-		t.putInfo(in)
+	if !t.pool.pooling.Load() {
+		return
+	}
+	clearInfo(in)
+	in.state.Store(stateUndecided)
+	in.nn, in.markMask, in.ins, in.seq = 0, 0, false, 0
+	t.pool.infos.Put(in)
+	t.stats.poolInfoPuts.Add(1)
+}
+
+// retire pushes a published info onto the retire stack. Called by the
+// attempt's owner once help has returned (the attempt is decided), still
+// inside the owner's pin — the ordering Compact's ripen relies on.
+func (t *Tree) retire(in *info) {
+	for {
+		head := t.pool.retired.Load()
+		in.retireNext = head
+		if t.pool.retired.CompareAndSwap(head, in) {
+			return
+		}
 	}
 }
 
-// putInfo clears an info's references and state and pushes it to the
-// pool. Callers must guarantee no in-flight traversal can reach in.
-func (t *Tree) putInfo(in *info) {
-	in.state.Store(stateUndecided)
-	in.nn, in.markMask = 0, 0
-	in.ins, in.retired = false, false
+// clearInfo drops an info's node references. For a drained info the
+// caller must have proved that no helper which saw the attempt undecided
+// is still running (the pin drain): help reads these fields only then.
+func clearInfo(in *info) {
 	in.nodes = [maxFreeze]*node{}
 	in.oldUpdate = [maxFreeze]*descriptor{}
 	in.par, in.oldChild, in.newChild = nil, nil, nil
-	in.seq = 0
-	t.pool.infos.Put(in)
-	t.stats.poolInfoPuts.Add(1)
 }
 
 // poisonAndPutNode severs a drained node's references, stamps the poison
@@ -218,15 +248,36 @@ func (t *Tree) poisonAndPutNode(n *node) {
 	t.stats.poolNodePuts.Add(1)
 }
 
-// enqueueLimbo records one Compact pass's garbage with a snapshot of the
-// currently-busy pin stripes. MUST run after the pass's cuts: a stripe
+// newBatch returns an empty limbo batch, reusing an emptied one (and its
+// slices) when there is one.
+func (t *Tree) newBatch() *limboBatch {
+	p := &t.pool
+	if n := len(p.spare); n > 0 {
+		b := p.spare[n-1]
+		p.spare[n-1] = nil
+		p.spare = p.spare[:n-1]
+		return b
+	}
+	return new(limboBatch)
+}
+
+// freeBatch empties a batch and keeps it for reuse.
+func (t *Tree) freeBatch(b *limboBatch) {
+	clear(b.nodes)
+	clear(b.infos)
+	b.nodes, b.infos, b.waiting = b.nodes[:0], b.infos[:0], 0
+	t.pool.spare = append(t.pool.spare, b)
+}
+
+// enqueueLimbo records a drain's garbage with a snapshot of the
+// currently-busy pin stripes. MUST run after the drain's cuts: a stripe
 // observed zero here can only belong to traversals that pinned after the
 // cuts and therefore cannot reach the batch.
-func (t *Tree) enqueueLimbo(nodes []*node, infos []*info) {
-	if len(nodes) == 0 && len(infos) == 0 {
+func (t *Tree) enqueueLimbo(b *limboBatch) {
+	if len(b.nodes) == 0 && len(b.infos) == 0 {
+		t.freeBatch(b)
 		return
 	}
-	b := &limboBatch{nodes: nodes, infos: infos}
 	for i := range t.pool.pins.stripes {
 		if t.pool.pins.stripes[i].n.Load() != 0 {
 			b.waiting |= 1 << uint(i)
@@ -235,41 +286,53 @@ func (t *Tree) enqueueLimbo(nodes []*node, infos []*info) {
 	t.pool.limbo = append(t.pool.limbo, b)
 }
 
-// reap re-examines limbo batches, clearing waiting bits for stripes now
-// observed idle, and recycles every fully-drained batch. Called by
-// Compact under compactMu. Returns how many nodes and infos were pooled.
-func (t *Tree) reap() (nodes, infos int) {
-	if len(t.pool.limbo) == 0 {
-		return 0, 0
-	}
+// ripen clears waiting bits for stripes now observed idle and moves every
+// fully drained batch from limbo to ripe. Called under compactMu.
+//
+// A ripe batch may be recycled only after the retire stack has been
+// popped and drained AFTER this observation. The reason is the one write
+// the pruner makes to memory it does not own: the cut of newChild.prev.
+// A node N can reach limbo (marked by a later attempt) while the info
+// that created N is not yet on the stack — its owner pushes only after
+// help returns. The owner is pinned until after that push, so once N's
+// batch is observed drained the push has happened; a pop after the
+// observation therefore sees the info (or an earlier pop did), and the
+// pass cuts N.prev before N is recycled rather than after.
+func (t *Tree) ripen() {
 	kept := t.pool.limbo[:0]
 	for _, b := range t.pool.limbo {
-		w := b.waiting
-		for w != 0 {
+		for w := b.waiting; w != 0; w &= w - 1 {
 			i := bits.TrailingZeros64(w)
 			if t.pool.pins.stripes[i].n.Load() == 0 {
 				b.waiting &^= 1 << uint(i)
 			}
-			w &= w - 1
 		}
 		if b.waiting == 0 {
-			for _, n := range b.nodes {
-				t.poisonAndPutNode(n)
-			}
-			for _, in := range b.infos {
-				t.putInfo(in)
-			}
-			nodes += len(b.nodes)
-			infos += len(b.infos)
+			t.pool.ripe = append(t.pool.ripe, b)
 		} else {
 			kept = append(kept, b)
 		}
 	}
-	// Drop the tail so recycled batches don't stay reachable.
-	for i := len(kept); i < len(t.pool.limbo); i++ {
-		t.pool.limbo[i] = nil
-	}
+	clear(t.pool.limbo[len(kept):]) // no stale batch pointers past len
 	t.pool.limbo = kept
+}
+
+// recycleRipe clears the ripe batches' infos in place and pools their
+// nodes, returning how many of each it handled.
+func (t *Tree) recycleRipe() (nodes, infos int) {
+	for i, b := range t.pool.ripe {
+		for _, in := range b.infos {
+			clearInfo(in)
+		}
+		for _, n := range b.nodes {
+			t.poisonAndPutNode(n)
+		}
+		nodes += len(b.nodes)
+		infos += len(b.infos)
+		t.freeBatch(b)
+		t.pool.ripe[i] = nil
+	}
+	t.pool.ripe = t.pool.ripe[:0]
 	return nodes, infos
 }
 

@@ -1,76 +1,76 @@
 package core
 
-// Version pruning. Compact walks the portion of the version graph that
-// any reader with phase >= Horizon() can still reach and cuts the prev
-// pointer of the terminal node of every version chain — the first node
-// with seq <= horizon, where every reader's ReadChild stops. Everything
-// behind a cut is unreachable from the tree; with pooling on (the
-// default) it is collected into a limbo batch and recycled through the
-// per-tree pools once the pin drain proves no in-flight traversal can
-// still reach it (pool.go), otherwise it is left to Go's GC. An
-// unreleased Snapshot cannot reference cut versions: live Snapshots hold
-// the horizon at or below their phase.
+// Version pruning. Every published attempt info lands on the tree's
+// retire stack when its attempt returns (execute); Compact drains that
+// stack instead of walking the version graph, so a pass costs what the
+// garbage costs, not what the tree costs.
 //
-// What a cut may and may not remove (DESIGN.md §6): it may only unlink
-// versions *strictly behind* a phase-<=H node. It never relinks a chain
-// around a middle node — a node x with seq > H stays linked because some
-// active reader with phase in [H, x.seq) may still need to step through
-// x to an older version. Cutting is monotone (prev only ever changes to
-// nil) and idempotent. Compact passes are serialized by an internal
-// mutex (limbo bookkeeping needs a single writer), and Compact is safe
-// concurrently with updates and registered readers: updaters never read
-// prev except through ReadChild, which retries the operation at a fresh
-// phase when it meets a cut chain (tree.go).
+// For a committed attempt at phase seq <= Horizon() the drain cuts
+// newChild.prev. newChild was created at seq, so every reader with phase
+// >= H stops at newChild (or at a newer version in front of it) and none
+// can need what is behind it. Behind the cut are exactly the nodes the
+// attempt marked — Insert's leaf, Delete's parent, leaf and sibling: a
+// marked node left the tree at seq, its only parent slot now leads to
+// newChild, and every older parent it had was itself marked at a phase
+// <= seq (DESIGN.md §6.2). Those nodes, and the drained infos, go to the
+// limbo → pin-drain → pool pipeline (pool.go). An aborted attempt changed
+// nothing in the tree; its info is drained at once. An attempt above the
+// horizon (or, defensively, still undecided) waits for a later pass.
+//
+// What a cut may and may not remove (DESIGN.md §6): it only unlinks
+// versions strictly behind a phase-<=H node and never relinks a chain
+// around a middle node. Cutting is monotone (prev only ever changes to
+// nil). Compact passes are serialized by an internal mutex (limbo
+// bookkeeping needs a single writer), and Compact is safe concurrently
+// with updates and registered readers: updaters never read prev except
+// through ReadChild, which retries the operation at a fresh phase when it
+// meets a cut chain (tree.go).
 
 import "repro/internal/obs"
 
 // CompactStats reports one Compact pass.
 type CompactStats struct {
 	Horizon       uint64 // reclamation horizon the pass used
-	LiveNodes     int    // nodes still reachable by some phase->=horizon reader
-	PrunedLinks   uint64 // version chains cut by this pass
-	RetiredInfos  uint64 // decided descriptors swapped for reference-free ones
+	LiveNodes     int    // |T_H|: nodes in the tree at the horizon phase
+	PrunedLinks   uint64 // prev links cut by this pass (also behind already-garbage nodes)
+	RetiredInfos  uint64 // attempt infos drained from the retire stack
 	GarbageNodes  int    // nodes this pass moved into limbo (0 with pooling off)
 	RecycledNodes int    // limbo nodes whose pin drain completed and entered the pool
-	RecycledInfos int    // limbo infos recycled likewise
+	RecycledInfos int    // limbo infos whose pin drain completed and were cleared in place
 }
 
 // Compact prunes all versions behind the current reclamation horizon,
 // moves the disconnected nodes into limbo, recycles previously-limboed
 // garbage whose pin drain has completed, and returns the pass's
-// statistics. It allocates a visited set proportional to the live
-// version graph and runs concurrently with any mix of operations;
-// updates racing with the walk are simply left for the next pass.
+// statistics. Its cost is proportional to the updates since the last pass
+// (plus those held back by the horizon), not to the tree: a pass on an
+// idle tree does O(1) work. It runs concurrently with any mix of
+// operations; updates that retire during the pass are left for the next.
 // Typical use is periodic (see bst.Tree.StartAutoCompact) or after
 // bursts of updates.
 func (t *Tree) Compact() CompactStats {
-	t.pool.compactMu.Lock()
-	defer t.pool.compactMu.Unlock()
+	p := &t.pool
+	p.compactMu.Lock()
+	defer p.compactMu.Unlock()
 
-	cs := CompactStats{Horizon: t.Horizon()}
-	// Recycle earlier batches first: their drain had the longest time to
-	// complete, and it refills the pools before this pass's retirements
-	// draw replacement infos.
-	rn, ri := t.reap()
+	// Never prune below an earlier pass's horizon (see poolState.horizon):
+	// a reader that registered late may publish a bound below it, but its
+	// phase is not, and a monotone horizon is what guarantees that an
+	// info popped after its newChild reached limbo is drainable at once.
+	h := max(t.Horizon(), p.horizon)
+	p.horizon = h
+	cs := CompactStats{Horizon: h}
 
-	// A fresh stamp value makes every node "unvisited" without touching
-	// it; pass numbers never repeat (pass 0 is skipped so the zero value
-	// of fresh nodes can never collide).
-	t.pool.pass++
-	pass := t.pool.pass
-	var heads []*node
-	t.pruneWalk(t.root, cs.Horizon, pass, &cs, &heads)
-
-	if t.pool.pooling.Load() && len(heads) > 0 {
-		nodes, infos := t.collectGarbage(heads, pass)
-		cs.GarbageNodes = len(nodes)
-		t.enqueueLimbo(nodes, infos)
-	}
-	// The fresh batch is often immediately drainable (no pins were held
-	// across the cuts — always true for a quiescent tree), so try again.
-	rn2, ri2 := t.reap()
-	cs.RecycledNodes = rn + rn2
-	cs.RecycledInfos = ri + ri2
+	// Each drain is preceded by a ripen (see ripen for why). The first
+	// pair recycles batches drained since earlier passes; the second lets
+	// this pass's own batch recycle when no pin was held across its cuts
+	// (always true for a quiescent tree).
+	t.ripen()
+	t.drainRetired(h, &cs)
+	t.ripen()
+	t.drainRetired(h, &cs)
+	cs.RecycledNodes, cs.RecycledInfos = t.recycleRipe()
+	cs.LiveNodes = p.liveNodes
 
 	t.stats.compactions.Add(1)
 	t.stats.prunedLinks.Add(cs.PrunedLinks)
@@ -88,128 +88,62 @@ func (t *Tree) Compact() CompactStats {
 	return cs
 }
 
-// pruneWalk visits the version graph reachable by readers with phase in
-// [h, now]: from each internal node it walks both child chains up to and
-// including the first phase-<=h node (cutting that node's prev and
-// remembering the severed head), and descends into every chain member.
-// The graph is a DAG (Delete copies a sibling but shares its subtree),
-// so the pass stamp keeps the walk linear in the graph size.
-func (t *Tree) pruneWalk(n *node, h uint64, pass uint64, cs *CompactStats, heads *[]*node) {
-	if n == nil || n.visit.Load() == pass {
-		return
+// drainRetired retries the infos earlier drains left pending, pops the
+// retire stack, and drains every info it can at horizon h into one fresh
+// limbo batch, which it enqueues after all of its cuts.
+func (t *Tree) drainRetired(h uint64, cs *CompactStats) {
+	p := &t.pool
+	b := t.newBatch()
+	kept := p.pending[:0]
+	for _, in := range p.pending {
+		if !t.drainInfo(in, h, b, cs) {
+			kept = append(kept, in)
+		}
 	}
-	n.visit.Store(pass)
-	cs.LiveNodes++
-	t.retireUpdate(n, cs)
-	if n.isLeaf() {
-		return
+	clear(p.pending[len(kept):])
+	p.pending = kept
+	for in := p.retired.Swap(nil); in != nil; {
+		next := in.retireNext
+		in.retireNext = nil // a cleared info must not retain the rest of the stack
+		if !t.drainInfo(in, h, b, cs) {
+			p.pending = append(p.pending, in)
+		}
+		in = next
 	}
-	for _, left := range []bool{true, false} {
-		var c *node
-		if left {
-			c = n.left.Load()
-		} else {
-			c = n.right.Load()
+	cs.GarbageNodes += len(b.nodes)
+	t.enqueueLimbo(b)
+}
+
+// drainInfo drains one popped info into batch b if its attempt is decided
+// and, for a commit, at or below the horizon; it reports whether it did.
+func (t *Tree) drainInfo(in *info, h uint64, b *limboBatch, cs *CompactStats) bool {
+	switch in.state.Load() {
+	case stateCommit:
+		if in.seq > h {
+			return false
 		}
-		// Chain members newer than the horizon stay linked and live.
-		for c != nil && c.seqNum() > h {
-			t.pruneWalk(c, h, pass, cs, heads)
-			c = c.prev.Load()
-		}
-		if c == nil {
-			continue // chain already cut at or above the horizon
-		}
-		// c is the terminal version: every reader stops here or earlier.
-		if behind := c.prev.Load(); behind != nil {
-			c.prev.Store(nil)
+		if in.newChild.prev.Swap(nil) != nil {
 			cs.PrunedLinks++
-			*heads = append(*heads, behind)
 		}
-		t.pruneWalk(c, h, pass, cs, heads)
-	}
-}
-
-// collectGarbage walks the version graph hanging off this pass's severed
-// chain heads and returns every node the pass did not stamp as live,
-// together with the uniquely-referenced retired infos attached to them.
-// Garbage is stamped with the same pass number as it is collected, which
-// deduplicates the DFS (the subgraph is a DAG) with the same test that
-// keeps it out of the live region. The garbage subgraph is stable: every
-// collected node was permanently marked before it was replaced (or hangs
-// under one that was), so no in-flight attempt can still change its
-// pointers, and live nodes hold no pointers into it once the cuts are
-// done — the DFS therefore terminates at stamped nodes and at prev=nil
-// boundaries left by earlier passes, never crossing into an older limbo
-// batch.
-//
-// Only retired replacement infos are collected for reuse: each one is
-// referenced by exactly one node (retireUpdate creates them per-CAS).
-// Original attempt infos may be shared by up to maxFreeze nodes and by
-// helpers that outlive the batch, so they are left to the GC.
-func (t *Tree) collectGarbage(heads []*node, pass uint64) ([]*node, []*info) {
-	var nodes []*node
-	var infos []*info
-	var walk func(g *node)
-	walk = func(g *node) {
-		if g == nil || g.visit.Load() == pass {
-			return
+		if t.pool.pooling.Load() {
+			for i := 0; i < int(in.nn); i++ {
+				if in.markMask&(1<<uint(i)) != 0 {
+					b.nodes = append(b.nodes, in.nodes[i])
+				}
+			}
 		}
-		g.visit.Store(pass)
-		nodes = append(nodes, g)
-		if d := g.update.Load(); d != nil && d.info.retired && d.info != t.dummy.info {
-			infos = append(infos, d.info)
+		if in.ins { // +3 new nodes, -1 marked leaf
+			t.pool.liveNodes += 2
+		} else { // +1 sibling copy, -3 marked
+			t.pool.liveNodes -= 2
 		}
-		walk(g.prev.Load())
-		if !g.isLeaf() {
-			walk(g.left.Load())
-			walk(g.right.Load())
-		}
+	case stateAbort:
+	default:
+		return false
 	}
-	for _, h := range heads {
-		walk(h)
-	}
-	return nodes, infos
-}
-
-// retireUpdate breaks the second retention path: a decided Info still
-// references the nodes of its attempt (nodes, oldUpdate, par, oldChild),
-// so a live node's update field would keep every predecessor reachable
-// even after its prev chain is cut. Once an attempt is decided its Info
-// is only ever consulted for (typ, state) — helping reads the rest only
-// while the state is Try — so the descriptor can be swapped for a
-// reference-free equivalent: unfrozen (flag+Abort) for decided-unfrozen
-// descriptors, permanently frozen (mark+Commit) for committed marks.
-//
-// The replacement must be an info no in-flight CAS can hold as an
-// expected value. A fresh allocation satisfies that trivially (Lemma 7:
-// every installed value was created after the expected value was read);
-// a pooled info satisfies it because the pin drain proved every
-// traversal from its previous life finished before it entered the pool.
-// The retired flag keeps each node's decided descriptor from being
-// re-swept on every pass. Processes still holding the original Info can
-// keep using it — its fields are never cleared; only the node's
-// reference to it is dropped.
-func (t *Tree) retireUpdate(n *node, cs *CompactStats) {
-	d := n.update.Load()
-	if d.info.retired || inProgress(d.info) {
-		return
-	}
-	ri := t.newInfo()
-	ri.retired = true
-	nd := &ri.flagD
-	if frozen(d) { // a committed mark is permanent; stay frozen
-		ri.state.Store(stateCommit)
-		nd = &ri.markD
-	} else {
-		ri.state.Store(stateAbort)
-	}
-	if n.update.CompareAndSwap(d, nd) {
-		cs.RetiredInfos++
-	} else {
-		// Lost a race (the node got frozen again); ri was never
-		// published, reuse it immediately.
-		t.recycleUnpublished(ri)
-	}
+	b.infos = append(b.infos, in)
+	cs.RetiredInfos++
+	return true
 }
 
 // VersionGraphSize returns the number of nodes reachable in the whole

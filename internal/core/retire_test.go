@@ -1,0 +1,301 @@
+package core
+
+import (
+	"fmt"
+	"runtime"
+	"runtime/debug"
+	"testing"
+	"unsafe"
+
+	"repro/internal/workload"
+)
+
+// Tests for the retire-stack drain (prune.go): a differential oracle
+// against the whole-graph walk it replaced, in-place clearing of drained
+// infos, and the layout and allocation pins the change is for.
+
+// compactFull is the whole-graph pruner Compact used before the retire
+// stack, kept as a test oracle. It walks the version graph reachable by
+// readers with phase >= H, cuts the prev of the first phase-<=H node of
+// every chain, and sends everything behind those cuts that the walk did
+// not reach through the same limbo pipeline. It drops the retire stack
+// instead of draining it, so a tree must be pruned by compactFull only.
+func (t *Tree) compactFull() CompactStats {
+	t.pool.compactMu.Lock()
+	defer t.pool.compactMu.Unlock()
+	t.pool.retired.Store(nil)
+
+	h := t.Horizon()
+	cs := CompactStats{Horizon: h}
+	live := make(map[*node]bool)
+	var heads []*node
+	var walk func(n *node)
+	walk = func(n *node) {
+		if n == nil || live[n] {
+			return
+		}
+		live[n] = true
+		if n.isLeaf() {
+			return
+		}
+		for _, c := range [2]*node{n.left.Load(), n.right.Load()} {
+			for c != nil && c.seqNum() > h { // newer than the horizon: stays linked
+				walk(c)
+				c = c.prev.Load()
+			}
+			if c == nil {
+				continue
+			}
+			if behind := c.prev.Load(); behind != nil { // c is where every reader stops
+				c.prev.Store(nil)
+				cs.PrunedLinks++
+				heads = append(heads, behind)
+			}
+			walk(c)
+		}
+	}
+	walk(t.root)
+	cs.LiveNodes = len(live)
+
+	b := t.newBatch()
+	seen := make(map[*node]bool)
+	var collect func(g *node)
+	collect = func(g *node) {
+		if g == nil || live[g] || seen[g] {
+			return
+		}
+		seen[g] = true
+		b.nodes = append(b.nodes, g)
+		collect(g.prev.Load())
+		if !g.isLeaf() {
+			collect(g.left.Load())
+			collect(g.right.Load())
+		}
+	}
+	if t.pool.pooling.Load() {
+		for _, g := range heads {
+			collect(g)
+		}
+	}
+	cs.GarbageNodes = len(b.nodes)
+	t.enqueueLimbo(b)
+	t.ripen()
+	cs.RecycledNodes, cs.RecycledInfos = t.recycleRipe()
+	return cs
+}
+
+// TestCompactMatchesFullWalk runs identical single-goroutine histories on
+// pairs of trees — one pruned by the retire-stack drain, one by the old
+// whole-graph walk — and requires both to leave the same version graph,
+// the same garbage and the same keys, with invariants clean, after every
+// pass; at quiescence the drain's |T_H| must equal the walk's count.
+// Starting states cover insert-built, bulk-built and migration-built
+// trees; histories include phases opened by scans and a snapshot that
+// holds the horizon across several passes.
+func TestCompactMatchesFullWalk(t *testing.T) {
+	const keySpace = 512
+	migrationKeys := func() []int64 {
+		src := New()
+		rng := workload.NewRNG(5)
+		for i := 0; i < 4000; i++ {
+			k := rng.Intn(keySpace)
+			if rng.Intn(2) == 0 {
+				src.Insert(k)
+			} else {
+				src.Delete(k)
+			}
+		}
+		return src.Keys()
+	}()
+	starts := map[string]func() *Tree{
+		"insert-built": func() *Tree { return New() },
+		"bulk-built": func() *Tree {
+			keys := make([]int64, 0, keySpace/2)
+			for k := int64(0); k < keySpace; k += 2 {
+				keys = append(keys, k)
+			}
+			tr, err := BuildFromSortedKeys(nil, keys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tr
+		},
+		// The shard migration path: a fresh tree built from a snapshot
+		// iterator on a clock that has already advanced.
+		"migration-built": func() *Tree {
+			src, err := BuildFromSortedKeys(nil, migrationKeys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 10; i++ {
+				src.Clock().Open()
+			}
+			snap := src.Snapshot()
+			defer snap.Release()
+			it := snap.Iter(MinKey, MaxKey)
+			tr, err := BuildFromSorted(src.Clock(), snap.Len(), func() (int64, bool) {
+				if !it.Next() {
+					return 0, false
+				}
+				return it.Key(), true
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tr
+		},
+	}
+	for name, start := range starts {
+		t.Run(name, func(t *testing.T) {
+			drained, walked := start(), start()
+			rng := workload.NewRNG(77)
+			var snaps [2]*Snapshot
+			for round := 0; round < 24; round++ {
+				for i := 0; i < 600; i++ {
+					k := rng.Intn(keySpace)
+					op := rng.Intn(20)
+					for _, tr := range []*Tree{drained, walked} {
+						switch {
+						case op < 9:
+							tr.Insert(k)
+						case op < 18:
+							tr.Delete(k)
+						default:
+							tr.RangeCount(k, k+16) // opens a phase
+						}
+					}
+				}
+				switch round % 8 {
+				case 2: // hold the horizon across the next passes
+					snaps = [2]*Snapshot{drained.Snapshot(), walked.Snapshot()}
+				case 5:
+					snaps[0].Release()
+					snaps[1].Release()
+					snaps = [2]*Snapshot{}
+				}
+				csD, csW := drained.Compact(), walked.compactFull()
+				where := fmt.Sprintf("round %d", round)
+				if csD.Horizon != csW.Horizon {
+					t.Fatalf("%s: horizons differ: drain %d, walk %d", where, csD.Horizon, csW.Horizon)
+				}
+				if csD.GarbageNodes != csW.GarbageNodes {
+					t.Fatalf("%s: garbage differs: drain %d, walk %d", where, csD.GarbageNodes, csW.GarbageNodes)
+				}
+				if d, w := drained.VersionGraphSize(), walked.VersionGraphSize(); d != w {
+					t.Fatalf("%s: version graph differs: drain %d, walk %d", where, d, w)
+				}
+				if snaps[0] == nil && csD.LiveNodes != csW.LiveNodes {
+					t.Fatalf("%s: quiescent live nodes differ: drain %d, walk %d", where, csD.LiveNodes, csW.LiveNodes)
+				}
+				if !equalKeys(drained.Keys(), walked.Keys()) {
+					t.Fatalf("%s: key sets differ", where)
+				}
+				for _, tr := range []*Tree{drained, walked} {
+					if err := tr.CheckInvariants(); err != nil {
+						t.Fatalf("%s: %v", where, err)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestDrainedInfoClearedAfterPinnedHelper: a drained info keeps its node
+// references while a pin taken before its attempt was decided is held
+// (a helper inside help may still read them), and the first pass after
+// the unpin clears them in place.
+func TestDrainedInfoClearedAfterPinnedHelper(t *testing.T) {
+	tr := New()
+	for k := int64(0); k < 16; k++ {
+		tr.Insert(k)
+	}
+	tr.Compact()
+
+	s := tr.pool.pins.enter(99) // a helper that has seen the next attempt undecided
+	if !tr.Delete(7) {
+		t.Fatal("Delete(7) failed")
+	}
+	in := tr.pool.retired.Load()
+	if in == nil || in.state.Load() != stateCommit || in.ins {
+		t.Fatal("the committed delete's info is not on top of the retire stack")
+	}
+	cs := tr.Compact()
+	if cs.RetiredInfos != 1 || cs.PrunedLinks != 1 || cs.GarbageNodes != 3 {
+		t.Fatalf("draining one delete: %+v, want 1 info, 1 cut, 3 garbage nodes", cs)
+	}
+	if cs.RecycledInfos != 0 || in.nodes[0] == nil || in.par == nil || in.oldChild == nil || in.newChild == nil {
+		t.Fatalf("info cleared while a pin from before its decision was held: %+v", cs)
+	}
+	if in.newChild.prev.Load() != nil {
+		t.Fatal("drain did not cut newChild.prev")
+	}
+
+	tr.pool.pins.exit(s)
+	cs = tr.Compact()
+	if cs.RecycledInfos != 1 || cs.RecycledNodes != 3 {
+		t.Fatalf("pass after the unpin: %+v, want 1 info cleared and 3 nodes pooled", cs)
+	}
+	if in.nodes != [maxFreeze]*node{} || in.oldUpdate != [maxFreeze]*descriptor{} ||
+		in.par != nil || in.oldChild != nil || in.newChild != nil || in.retireNext != nil {
+		t.Fatal("drained info still holds references after its pin drain")
+	}
+	if in.state.Load() != stateCommit || in.nn != 4 || in.markMask != 1<<1|1<<2|1<<3 {
+		t.Fatal("clearing touched the fields readers of a decided info still consult")
+	}
+	if tr.Find(7) || !tr.Find(6) || !tr.Find(8) {
+		t.Fatal("tree contents wrong after clearing")
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestNodeLayout pins the node at six words: the 48 B size class.
+func TestNodeLayout(t *testing.T) {
+	if got := unsafe.Sizeof(node{}); got != 48 {
+		t.Fatalf("unsafe.Sizeof(node{}) = %d, want 48", got)
+	}
+}
+
+// TestCompactScratchReused: a steady churn-and-compact loop reuses the
+// per-pass batch slices instead of allocating them every pass.
+func TestCompactScratchReused(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are perturbed by the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// One P: sync.Pool's per-P chains then stay warm; with more, puts on
+	// one P and steals from another reallocate the pool's internals.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	tr := New()
+	for k := int64(0); k < 256; k++ {
+		tr.Insert(k)
+	}
+	k := int64(0)
+	churn := func() {
+		for i := 0; i < 32; i++ {
+			tr.Delete(k % 256)
+			tr.Insert(k % 256)
+			k++
+		}
+	}
+	for i := 0; i < 8; i++ { // warm the pools and the batch slices
+		churn()
+		tr.Compact()
+	}
+	var total uint64
+	var ms runtime.MemStats
+	for i := 0; i < 20; i++ {
+		churn()
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		if cs := tr.Compact(); cs.GarbageNodes == 0 {
+			t.Fatalf("pass %d found no garbage: %+v", i, cs)
+		}
+		runtime.ReadMemStats(&ms)
+		total += ms.Mallocs - before
+	}
+	if total != 0 {
+		t.Errorf("Compact allocated %d times over 20 warm passes, want 0", total)
+	}
+}

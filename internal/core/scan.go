@@ -107,10 +107,10 @@ func (t *Tree) scanInto(n *node, seq uint64, a, b int64, visit *func(int64) bool
 	}
 	// Help any in-progress update frozen on this node (line 139-140) so
 	// that every phase-<=seq update on the traversed region is resolved
-	// (committed into T_seq or aborted) before we descend.
+	// (committed into T_seq or aborted) before we descend. The check is
+	// helpIfPending's, written out so it stays inline on the scan path.
 	if in := n.update.Load().info; inProgress(in) {
-		t.stats.helps.Add(1)
-		t.help(in)
+		t.helpPinned(n.key, in)
 	}
 	if a > n.key { // whole range is in the right subtree
 		return t.scanInto(mustReadChild(n, false, seq), seq, a, b, visit)

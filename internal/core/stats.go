@@ -38,8 +38,8 @@ type StatsSnapshot struct {
 	Scans           uint64 // RangeScans + Snapshots taken (phases opened)
 
 	Compactions   uint64 // Compact passes completed
-	PrunedLinks   uint64 // version chains cut across all passes
-	LastLiveNodes uint64 // live version-graph size seen by the last pass
+	PrunedLinks   uint64 // prev links cut across all passes
+	LastLiveNodes uint64 // |T_H| after the last pass: tree size at its horizon phase
 	LastHorizon   uint64 // reclamation horizon of the last pass
 
 	PoolNodeHits uint64 // node allocations served from the recycling pool

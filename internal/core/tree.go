@@ -65,12 +65,13 @@ func NewWithClock(c *Clock) *Tree {
 		c = NewClock()
 	}
 	t := &Tree{clock: c}
-	dummyInfo := &info{retired: true} // reference-free; the pruner must never re-sweep it
+	dummyInfo := &info{} // reference-free and never on the retire stack
 	dummyInfo.flagD = descriptor{typ: flag, info: dummyInfo}
 	dummyInfo.markD = descriptor{typ: mark, info: dummyInfo}
 	dummyInfo.state.Store(stateAbort)
 	t.dummy = &dummyInfo.flagD
 	t.pool.pooling.Store(true)
+	t.pool.liveNodes = 3 // root and the two sentinel leaves
 
 	root := &node{key: inf2}
 	root.update.Store(t.dummy)
@@ -437,7 +438,10 @@ func (t *Tree) deleteOnce(k int64, seq uint64) (res bool, st opOutcome) {
 
 // execute implements Execute (lines 92-106): bail out (helping in-progress
 // attempts) if any node to be frozen already is, otherwise publish a fresh
-// Info object by flagging nodes[0] and run help to completion.
+// Info object by flagging nodes[0] and run help to completion. A published
+// info is then pushed onto the retire stack, still inside the caller's
+// pin, which is what lets Compact find this attempt's garbage without
+// walking the tree (prune.go).
 func (t *Tree) execute(nodes [maxFreeze]*node, oldUpdate [maxFreeze]*descriptor,
 	nn uint8, markMask uint8, par, oldChild, newChild *node, seq uint64, ins bool) bool {
 	for i := 0; i < int(nn); i++ {
@@ -460,7 +464,9 @@ func (t *Tree) execute(nodes [maxFreeze]*node, oldUpdate [maxFreeze]*descriptor,
 	in.seq = seq
 	in.ins = ins
 	if nodes[0].update.CompareAndSwap(oldUpdate[0], &in.flagD) { // freeze (flag) CAS
-		return t.help(in)
+		ok := t.help(in)
+		t.retire(in)
+		return ok
 	}
 	// The attempt was never published: no other goroutine can have seen
 	// in, so its memory can be reused immediately.

@@ -38,9 +38,10 @@ const (
 // info embeds exactly one flag descriptor and one mark descriptor
 // (flagD/markD below), both pointing back at it, so installing a freeze
 // costs no allocation: the CAS installs &in.flagD or &in.markD. The
-// descriptor values are immutable, and a given descriptor address is
-// re-installed only after the pool proves no in-flight CAS can hold it
-// as an expected value (see pool.go), so CAS on the *descriptor pointer
+// descriptor values are immutable, and an info that was ever published
+// is never recycled (only infos whose first freeze CAS failed return to
+// the pool, see pool.go), so a descriptor address names one attempt for
+// as long as anything can hold it and CAS on the *descriptor pointer
 // remains equivalent to CAS on the packed word: the paper's no-ABA
 // argument (Lemma 7) — every successful CAS installs a pointer to an
 // Info created after the expected value was read — holds unchanged.
@@ -58,24 +59,31 @@ const maxFreeze = 4
 // or abort it. All fields except state are immutable between newInfo and
 // the attempt's decision.
 //
-// An info's node references (nodes, oldUpdate, par, oldChild) are only
-// needed while the attempt is undecided; afterwards they retain the
-// replaced nodes, which is why the pruner swaps decided descriptors for
-// reference-free ones (retireUpdate in prune.go). retired marks such
-// replacements (and the dummy) so they are never swept again.
+// An info's node references (nodes, oldUpdate, par, oldChild, newChild)
+// are only read by help, and only after help has seen the attempt
+// undecided; once decided they would merely retain the replaced nodes.
+// So every published info is pushed onto the tree's retire stack
+// (retireNext) when its attempt returns, and Compact clears those
+// references in place once the pin drain proves no helper that saw the
+// attempt undecided is still running (prune.go). A published info is
+// never recycled: nodes keep pointing at it through their update fields.
 type info struct {
 	state atomic.Int32 // ⊥ / Try / Commit / Abort
 
 	nn        uint8                  // number of nodes to freeze
 	markMask  uint8                  // bit i set ⇒ nodes[i] is marked (mark ⊆ nodes)
-	ins       bool                   // created by Insert (for introspection/stats only)
-	retired   bool                   // reference-free replacement installed by the pruner
+	ins       bool                   // created by Insert (the drain's live-node accounting)
 	nodes     [maxFreeze]*node       // nodes to freeze, in freeze order; nodes[0] is flagged first
 	oldUpdate [maxFreeze]*descriptor // expected update values for the freeze CASes
 	par       *node                  // node whose child pointer changes (an element of nodes)
 	oldChild  *node                  // expected child of par
 	newChild  *node                  // replacement child; newChild.prev == oldChild
 	seq       uint64                 // phase of the attempt
+
+	// retireNext links the tree's retire stack (intrusive, so a push is
+	// one CAS and no allocation). Written by the owner before its push
+	// CAS; read and reset only by Compact after popping.
+	retireNext *info
 
 	// Pre-typed freeze descriptors pointing back at this info. They are
 	// initialized once (newInfo) and never change, even across pool
@@ -93,20 +101,13 @@ const leafBit = uint64(1) << 63
 // (except for poisoning of recycled nodes, see pool.go). prev is written
 // once at creation (the node this one replaced in its parent; nil for
 // phase-0 nodes and fresh leaves) and may later be reset to nil —
-// exactly once, monotonically — by the version pruner when every version
-// behind it has fallen below the reclamation horizon (see prune.go).
-// Readers therefore load it atomically.
+// exactly once, monotonically — by the version pruner once the phase of
+// the update that created this node has fallen to the reclamation
+// horizon (see prune.go). Readers therefore load it atomically. Six
+// words: 48 B, the 48 B size class (pinned by TestNodeLayout).
 type node struct {
 	key     int64
 	seqLeaf uint64 // bit 63 = leaf flag, low 63 bits = creation phase
-
-	// visit is the pruner's pass stamp: Compact marks each node it
-	// reaches with the pass number instead of keeping a per-pass visited
-	// map (map traffic dominated the pass's cost). Written only under the
-	// compaction mutex, but atomically, because updaters and readers
-	// traverse the node concurrently. Stale stamps on recycled nodes are
-	// harmless: pass numbers never repeat.
-	visit atomic.Uint64
 
 	prev        atomic.Pointer[node]
 	update      atomic.Pointer[descriptor]

@@ -75,7 +75,8 @@ func (m *Map[V]) pruneWalk(n *node[V], h uint64, visited map[*node[V]]struct{}, 
 // retireUpdate swaps a decided descriptor for a freshly allocated
 // reference-free equivalent (fresh, not shared: the no-ABA argument
 // requires every installed update value to be newer than the expected
-// value — see core.retireUpdate).
+// value). internal/core no longer swaps descriptors: it clears drained
+// infos in place (DESIGN.md §6.2); this map keeps the older scheme.
 func (m *Map[V]) retireUpdate(n *node[V], cs *CompactStats) {
 	d := n.update.Load()
 	if d.info.retired || inProgress(d.info) {

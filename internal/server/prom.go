@@ -177,7 +177,7 @@ func (s *Server) promShards(b *bytes.Buffer, shards []bst.ShardInfo) {
 		u(func(sh bst.ShardInfo) uint64 { return sh.Load }))
 	family("bstserver_shard_load_ewma", "gauge", "Exporter-smoothed scrape-to-scrape routed-op delta.",
 		func(_ bst.ShardInfo, i int) string { return promFloat(ewma[i]) })
-	family("bstserver_shard_live_nodes", "gauge", "Live version-graph nodes at the shard's last Compact pass.",
+	family("bstserver_shard_live_nodes", "gauge", "Tree nodes at the horizon phase of the shard's last Compact pass.",
 		u(func(sh bst.ShardInfo) uint64 { return sh.LiveNodes }))
 	family("bstserver_shard_version_graph", "gauge", "Current version-graph size (nodes).",
 		u(func(sh bst.ShardInfo) uint64 { return uint64(sh.VersionGraph) }))

@@ -286,7 +286,7 @@ type ShardInfo struct {
 	Lo, Hi       int64  // inclusive key range owned by the shard
 	Gen          uint64 // routing-table generation the row was read from
 	Load         uint64 // point ops routed to the shard in this generation
-	LiveNodes    uint64 // live version-graph nodes at the last Compact pass
+	LiveNodes    uint64 // |T_H|: tree size at the last Compact pass's horizon
 	Horizon      uint64 // reclamation horizon of the last Compact pass
 	VersionGraph int    // current version-graph size (nodes)
 	Retries      uint64 // insert+delete+find+horizon retries, this tree's lifetime
