@@ -16,14 +16,13 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/pnbmap"
 	"repro/internal/workload"
 )
 
 func BenchmarkAblationReplaceVsDeleteInsert(b *testing.B) {
 	const keys = 1 << 14
 	b.Run("map-put-replace", func(b *testing.B) {
-		m := pnbmap.New[int64]()
+		m := core.NewMap[int64]()
 		rng := workload.NewRNG(1)
 		for i := int64(0); i < keys; i++ {
 			m.Put(i, 0)

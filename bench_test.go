@@ -594,6 +594,35 @@ func BenchmarkE12CompactPass(b *testing.B) {
 			}
 		})
 	}
+	// A map of 2^18 random keys runs on the same drain: a pass after 1 000
+	// Put-replaces costs what those replaces cost.
+	for _, puts := range []int{0, 1000} {
+		name := "map-2^18/quiescent"
+		if puts > 0 {
+			name = "map-2^18/after-" + itoa(int64(puts)) + "-puts"
+		}
+		b.Run(name, func(b *testing.B) {
+			m := bst.NewMap[int64]()
+			rng := workload.NewRNG(41)
+			keys := make([]int64, 0, 1<<18)
+			for len(keys) < 1<<18 {
+				if k := rng.Intn(1 << 30); !m.Put(k, k) {
+					keys = append(keys, k)
+				}
+			}
+			m.Compact()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for j := 0; j < puts; j++ {
+					m.Put(keys[rng.Intn(int64(len(keys)))], int64(i))
+				}
+				b.StartTimer()
+				m.Compact()
+			}
+		})
+	}
 }
 
 // BenchmarkE12Allocs — experiment E12 (allocation axis): allocator

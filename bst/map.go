@@ -3,12 +3,13 @@ package bst
 import (
 	"time"
 
-	"repro/internal/pnbmap"
+	"repro/internal/core"
 )
 
 // Map is a persistent non-blocking BST map from int64 keys to values of
-// type V — the key-value extension of the paper's set (DESIGN.md §3). It
-// adds a Put-replace operation: binding a new value to an existing key
+// type V — the key-value extension of the paper's set (DESIGN.md §3), run
+// by the same algorithm as Tree with values in the leaves. It adds a
+// Put-replace operation: binding a new value to an existing key
 // installs a fresh leaf whose prev pointer keeps the old value readable
 // in earlier phases, so snapshots observe the value that was bound when
 // they were taken.
@@ -17,7 +18,7 @@ import (
 // MapSnapshot reads are wait-free and linearizable. All methods are safe
 // for concurrent use.
 type Map[V any] struct {
-	m *pnbmap.Map[V]
+	m *core.Map[V]
 }
 
 // MapEntry is one key-value pair returned by map scans.
@@ -28,11 +29,11 @@ type MapEntry[V any] struct {
 
 // MapSnapshot is a frozen point-in-time view of a Map.
 type MapSnapshot[V any] struct {
-	s *pnbmap.Snapshot[V]
+	s *core.MapSnapshot[V]
 }
 
 // NewMap returns an empty map.
-func NewMap[V any]() *Map[V] { return &Map[V]{m: pnbmap.New[V]()} }
+func NewMap[V any]() *Map[V] { return &Map[V]{m: core.NewMap[V]()} }
 
 // Put binds k to v, reporting whether an existing binding was replaced.
 func (m *Map[V]) Put(k int64, v V) (replaced bool) { return m.m.Put(k, v) }
@@ -50,7 +51,7 @@ func (m *Map[V]) Delete(k int64) bool { return m.m.Delete(k) }
 // Wait-free and linearizable.
 func (m *Map[V]) Entries(a, b int64) []MapEntry[V] {
 	var out []MapEntry[V]
-	m.m.RangeScanFunc(a, b, func(k int64, v V) bool {
+	m.m.EntriesFunc(a, b, func(k int64, v V) bool {
 		out = append(out, MapEntry[V]{k, v})
 		return true
 	})
@@ -60,7 +61,7 @@ func (m *Map[V]) Entries(a, b int64) []MapEntry[V] {
 // EntriesFunc streams entries in [a, b] ascending without allocating;
 // visit returning false stops early. Wait-free.
 func (m *Map[V]) EntriesFunc(a, b int64, visit func(k int64, v V) bool) {
-	m.m.RangeScanFunc(a, b, visit)
+	m.m.EntriesFunc(a, b, visit)
 }
 
 // RangeCount returns the number of bound keys in [a, b]. Wait-free.
@@ -73,20 +74,15 @@ func (m *Map[V]) Keys() []int64 { return m.m.Keys() }
 func (m *Map[V]) Len() int { return m.m.Len() }
 
 // Compact prunes version memory: superseded key-value versions that no
-// in-flight scan and no live MapSnapshot can still read become
-// collectible by the garbage collector. Same semantics and safety as
-// (*Tree).Compact (DESIGN.md §6); LiveNodes/PrunedLinks are reported via
-// the returned core-compatible stats shape.
-func (m *Map[V]) Compact() CompactStats {
-	// The two stats structs are field-identical; a conversion (rather
-	// than a copy) breaks the build if they ever drift.
-	return CompactStats(m.m.Compact())
-}
+// in-flight scan and no live MapSnapshot can still read are unlinked and
+// recycled. Same semantics, safety and cost as (*Tree).Compact (DESIGN.md
+// §6): a pass drains the updates retired since the previous pass and
+// never walks the map.
+func (m *Map[V]) Compact() CompactStats { return m.m.Compact() }
 
 // StartAutoCompact runs Compact every interval on a background goroutine
 // until the returned stop function is called; see (*Tree).StartAutoCompact.
-// Unlike the set's, a Map pass still walks the live version graph
-// (internal/pnbmap keeps the whole-graph pruner), so it costs O(map size).
+// Each pass costs time proportional to the updates since the previous one.
 func (m *Map[V]) StartAutoCompact(interval time.Duration) (stop func()) {
 	return autoCompact(interval, func() { m.Compact() })
 }
@@ -107,7 +103,7 @@ func (s *MapSnapshot[V]) Get(k int64) (V, bool) { return s.s.Get(k) }
 
 // Range streams the snapshot's entries in [a, b], ascending.
 func (s *MapSnapshot[V]) Range(a, b int64, visit func(k int64, v V) bool) {
-	s.s.Range(a, b, visit)
+	s.s.EntriesFunc(a, b, visit)
 }
 
 // Len returns the number of keys bound at the snapshot's phase.

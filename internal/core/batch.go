@@ -75,7 +75,7 @@ type BatchOp struct {
 // re-routes the remainder, exactly as with the single-op Try calls.
 // Every completed op's contract is the single-op one; none of the
 // remainder left any trace.
-func (t *Tree) TryApplyOps(ops []BatchOp, res []bool) (applied int, ok bool) {
+func (t *Map[V]) TryApplyOps(ops []BatchOp, res []bool) (applied int, ok bool) {
 	return t.TryApplyOpsPhases(ops, res, nil)
 }
 
@@ -85,7 +85,7 @@ func (t *Tree) TryApplyOps(ops []BatchOp, res []bool) (applied int, ok bool) {
 // with TryInsertPhase's guarantee; durability stamps per-op WAL records
 // with it. Note the cached phase makes runs of phases non-decreasing but
 // individual ops still get the phase their own successful attempt used.
-func (t *Tree) TryApplyOpsPhases(ops []BatchOp, res []bool, phases []uint64) (applied int, ok bool) {
+func (t *Map[V]) TryApplyOpsPhases(ops []BatchOp, res []bool, phases []uint64) (applied int, ok bool) {
 	if len(res) < len(ops) {
 		panic("core: TryApplyOps result slice shorter than ops")
 	}
@@ -100,6 +100,7 @@ func (t *Tree) TryApplyOpsPhases(ops []BatchOp, res []bool, phases []uint64) (ap
 	}
 	s := t.pool.pins.enter(ops[0].Key)
 	defer t.pool.pins.exit(s)
+	var zero V
 	seq := t.clock.Now()
 	for i, op := range ops {
 		for {
@@ -110,11 +111,11 @@ func (t *Tree) TryApplyOpsPhases(ops []BatchOp, res []bool, phases []uint64) (ap
 			var st opOutcome
 			switch op.Kind {
 			case BatchInsert:
-				r, st = t.insertOnce(op.Key, seq)
+				r, st = t.putOnce(op.Key, zero, seq, false)
 			case BatchDelete:
 				r, st = t.deleteOnce(op.Key, seq)
 			default:
-				r, st = t.findOnce(op.Key, seq)
+				_, r, st = t.findOnce(op.Key, seq)
 			}
 			if st == opDone {
 				res[i] = r
@@ -132,7 +133,7 @@ func (t *Tree) TryApplyOpsPhases(ops []BatchOp, res []bool, phases []uint64) (ap
 // ApplyOps is TryApplyOps for standalone trees, where sealing is a
 // routing bug (only shard migrations seal): it panics like Insert/Delete
 // on a sealed tree instead of returning a remainder.
-func (t *Tree) ApplyOps(ops []BatchOp, res []bool) {
+func (t *Map[V]) ApplyOps(ops []BatchOp, res []bool) {
 	if _, ok := t.TryApplyOps(ops, res); !ok {
 		panic("core: ApplyOps on a sealed Tree (re-route the remainder and use TryApplyOps; see Seal)")
 	}

@@ -27,7 +27,13 @@ import "fmt"
 // or duplicate keys, or an out-of-range key fail with an error. The tree
 // shares clock c (nil gets a private clock), like NewWithClock.
 func BuildFromSorted(c *Clock, n int, next func() (int64, bool)) (*Tree, error) {
-	t := NewWithClock(c)
+	return buildFromSorted[struct{}](c, n, next)
+}
+
+// buildFromSorted is BuildFromSorted for any value type; every leaf gets
+// the zero V.
+func buildFromSorted[V any](c *Clock, n int, next func() (int64, bool)) (*Map[V], error) {
+	t := newMap[V](c)
 	if n == 0 {
 		return t, nil
 	}
@@ -86,7 +92,7 @@ func BuildFromSortedKeys(c *Clock, keys []int64) (*Tree, error) {
 // the stream (count >= 1), returning the subtree and its minimum key (the
 // key the parent must route by: internal keys are the minimum of their
 // right subtree, matching Insert's construction).
-func (t *Tree) buildBalanced(count int, pull func() (int64, error)) (*node, int64, error) {
+func (t *Map[V]) buildBalanced(count int, pull func() (int64, error)) (*node[V], int64, error) {
 	if count == 1 {
 		k, err := pull()
 		if err != nil {

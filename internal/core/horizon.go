@@ -21,22 +21,6 @@ import "repro/internal/epoch"
 // below H. See the epoch package for the ordering argument that H never
 // overtakes an active reader.
 
-// reader is a registration handle.
-type reader = epoch.Reader
-
-// registerReader publishes a lower bound on the phase the caller is
-// about to acquire. The caller MUST read the clock again after this
-// returns and use that (or a later) value as its traversal phase.
-func (t *Tree) registerReader() reader {
-	return t.readers.Register(t.clock.Now())
-}
-
-// releaseReader withdraws a registration. Each handle must be released
-// exactly once.
-func (t *Tree) releaseReader(r reader) {
-	t.readers.Release(r)
-}
-
 // Registration is an exported reader-registration handle, for callers
 // that coordinate one phase across several trees sharing a Clock
 // (internal/shard): Register on every covered tree FIRST, then open the
@@ -46,20 +30,22 @@ func (t *Tree) releaseReader(r reader) {
 // the opened phase, so no tree's reclamation horizon can overtake the
 // composite read while it runs.
 type Registration struct {
-	t *Tree
-	r reader
+	readers *epoch.Table // the registering tree's table
+	r       epoch.Reader
 }
 
 // Register publishes a lower bound on any phase subsequently opened on
-// the tree's clock and returns the handle. Release it exactly once.
-func (t *Tree) Register() Registration {
-	return Registration{t: t, r: t.registerReader()}
+// the tree's clock and returns the handle. Release it exactly once. The
+// caller MUST read the clock after Register returns and use that (or a
+// later) value as its traversal phase.
+func (t *Map[V]) Register() Registration {
+	return Registration{readers: &t.readers, r: t.readers.Register(t.clock.Now())}
 }
 
 // Release withdraws the registration. Must be called exactly once per
 // handle (SnapshotAt adopts the handle, and Snapshot.Release then owns
 // the release).
-func (g Registration) Release() { g.t.releaseReader(g.r) }
+func (g Registration) Release() { g.readers.Release(g.r) }
 
 // Horizon returns the reclamation horizon: the minimum phase any active
 // or future reader may traverse. Versions wholly behind a phase-<=H node
@@ -67,6 +53,6 @@ func (g Registration) Release() { g.t.releaseReader(g.r) }
 // horizon is the clock's current phase. With a shared clock the ceiling
 // is the shared counter, but the registered bounds are still per-tree, so
 // each tree of a phase domain keeps its own horizon.
-func (t *Tree) Horizon() uint64 {
+func (t *Map[V]) Horizon() uint64 {
 	return t.readers.Min(t.clock.Now())
 }

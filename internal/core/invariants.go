@@ -19,12 +19,12 @@ import (
 //   - prev chains terminate and are strictly phase-decreasing from any
 //     node reachable in any version (acyclicity, Lemma 43 restricted to
 //     prev edges, which is what Search termination relies on).
-func (t *Tree) CheckInvariants() error {
+func (t *Map[V]) CheckInvariants() error {
 	ctr := t.clock.Now()
 	var errs []error
-	var walk func(n *node, lo, hi int64, depth int)
+	var walk func(n *node[V], lo, hi int64, depth int)
 	seenInf1, seenInf2 := 0, 0
-	walk = func(n *node, lo, hi int64, depth int) {
+	walk = func(n *node[V], lo, hi int64, depth int) {
 		if depth > 1<<22 {
 			errs = append(errs, errors.New("depth exceeds 2^22: probable cycle"))
 			return
@@ -83,10 +83,10 @@ func (t *Tree) CheckInvariants() error {
 
 // CheckVersionInvariants verifies the BST property (Invariant 36) for the
 // version tree T_seq, at quiescence.
-func (t *Tree) CheckVersionInvariants(seq uint64) error {
+func (t *Map[V]) CheckVersionInvariants(seq uint64) error {
 	var errs []error
-	var walk func(n *node, lo, hi int64, depth int)
-	walk = func(n *node, lo, hi int64, depth int) {
+	var walk func(n *node[V], lo, hi int64, depth int)
+	walk = func(n *node[V], lo, hi int64, depth int) {
 		if n == nil {
 			errs = append(errs, fmt.Errorf("T_%d unreachable: version chain pruned below phase %d", seq, seq))
 			return
@@ -116,10 +116,10 @@ func (t *Tree) CheckVersionInvariants(seq uint64) error {
 // it to compare historical versions against recorded oracle states. It
 // panics if the version was already pruned (seq below the last Compact's
 // horizon).
-func (t *Tree) VersionKeys(seq uint64) []int64 {
+func (t *Map[V]) VersionKeys(seq uint64) []int64 {
 	var out []int64
-	var walk func(n *node)
-	walk = func(n *node) {
+	var walk func(n *node[V])
+	walk = func(n *node[V]) {
 		if n.isLeaf() {
 			if n.key <= MaxKey {
 				out = append(out, n.key)
@@ -136,9 +136,9 @@ func (t *Tree) VersionKeys(seq uint64) []int64 {
 // Height returns the height of the current tree (root = height 0 tree has
 // height 1 here for the root alone; an empty tree reports 2: root plus
 // sentinel leaves). Diagnostic only; call at quiescence.
-func (t *Tree) Height() int {
-	var h func(n *node) int
-	h = func(n *node) int {
+func (t *Map[V]) Height() int {
+	var h func(n *node[V]) int
+	h = func(n *node[V]) int {
 		if n == nil || n.isLeaf() {
 			return 1
 		}
@@ -153,9 +153,9 @@ func (t *Tree) Height() int {
 
 // NodeCount returns the number of nodes reachable in the current tree
 // (internal + leaves, including sentinels). Diagnostic only; quiescence.
-func (t *Tree) NodeCount() int {
-	var c func(n *node) int
-	c = func(n *node) int {
+func (t *Map[V]) NodeCount() int {
+	var c func(n *node[V]) int
+	c = func(n *node[V]) int {
 		if n.isLeaf() {
 			return 1
 		}

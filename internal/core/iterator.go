@@ -2,33 +2,37 @@ package core
 
 import "runtime"
 
-// Iterator is a pull-based in-order cursor over a Snapshot. Like every
-// snapshot read it is wait-free and observes exactly the keys of the
-// snapshot's phase, regardless of concurrent updates to the live tree.
+// MapIterator is a pull-based in-order cursor over a MapSnapshot's keys.
+// Like every snapshot read it is wait-free and observes exactly the keys
+// of the snapshot's phase, regardless of concurrent updates to the live
+// tree.
 //
 // The iterator maintains an explicit descent stack instead of recursing,
 // so callers can interleave Next with other work and abandon iteration at
 // any point without cost.
-type Iterator struct {
-	snap  *Snapshot // keeps the snapshot (and its horizon registration) reachable
-	t     *Tree
+type MapIterator[V any] struct {
+	snap  *MapSnapshot[V] // keeps the snapshot (and its horizon registration) reachable
+	t     *Map[V]
 	seq   uint64
 	lo    int64
 	hi    int64
-	stack []*node // nodes whose left subtree is done but right is pending, plus pending leaves
+	stack []*node[V] // nodes whose left subtree is done but right is pending, plus pending leaves
 	cur   int64
 	valid bool
 }
+
+// Iterator is a cursor over a set Snapshot.
+type Iterator = MapIterator[struct{}]
 
 // Iter returns an iterator over the snapshot's keys in [a, b], ascending.
 // The iterator holds a reference to the snapshot, so the snapshot's
 // versions stay unpruned at least as long as the iterator is reachable
 // (even if the caller drops its own Snapshot reference).
-func (s *Snapshot) Iter(a, b int64) *Iterator {
+func (s *MapSnapshot[V]) Iter(a, b int64) *MapIterator[V] {
 	if b > MaxKey {
 		b = MaxKey
 	}
-	it := &Iterator{snap: s, t: s.t, seq: s.seq, lo: a, hi: b}
+	it := &MapIterator[V]{snap: s, t: s.t, seq: s.seq, lo: a, hi: b}
 	if a <= b {
 		s.mustLive()
 		it.descend(s.t.root)
@@ -38,7 +42,7 @@ func (s *Snapshot) Iter(a, b int64) *Iterator {
 
 // descend pushes the left spine of the subtree rooted at n, pruned to
 // [lo, hi], helping in-progress updates exactly as ScanHelper does.
-func (it *Iterator) descend(n *node) {
+func (it *MapIterator[V]) descend(n *node[V]) {
 	for {
 		if n.isLeaf() {
 			it.stack = append(it.stack, n)
@@ -59,7 +63,7 @@ func (it *Iterator) descend(n *node) {
 }
 
 // Next advances to the next key, reporting whether one exists.
-func (it *Iterator) Next() bool {
+func (it *MapIterator[V]) Next() bool {
 	defer runtime.KeepAlive(it.snap) // registration must outlive the traversal
 	if len(it.stack) > 0 {
 		it.snap.mustLive()
@@ -84,7 +88,7 @@ func (it *Iterator) Next() bool {
 
 // Key returns the key at the current position; valid only after a Next
 // that returned true.
-func (it *Iterator) Key() int64 {
+func (it *MapIterator[V]) Key() int64 {
 	if !it.valid {
 		panic("core: Iterator.Key called before a successful Next")
 	}

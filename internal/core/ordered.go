@@ -6,7 +6,7 @@ package core
 // the "processing while traversing" usage the paper highlights.
 
 // Min returns the smallest key in the set, if any. Wait-free.
-func (t *Tree) Min() (int64, bool) {
+func (t *Map[V]) Min() (int64, bool) {
 	var k int64
 	found := false
 	t.RangeScanFunc(MinKey, MaxKey, func(x int64) bool {
@@ -17,11 +17,11 @@ func (t *Tree) Min() (int64, bool) {
 }
 
 // Max returns the largest key in the set, if any. Wait-free.
-func (t *Tree) Max() (int64, bool) { return t.Pred(MaxKey) }
+func (t *Map[V]) Max() (int64, bool) { return t.Pred(MaxKey) }
 
 // Succ returns the smallest key >= k, if any. Wait-free: an
 // early-stopping scan of [k, MaxKey].
-func (t *Tree) Succ(k int64) (int64, bool) {
+func (t *Map[V]) Succ(k int64) (int64, bool) {
 	reg := t.Register()
 	defer reg.Release()
 	seq := t.clock.Open()
@@ -33,7 +33,7 @@ func (t *Tree) Succ(k int64) (int64, bool) {
 // T_phase, via an early-stopping traversal. Like PredAt it neither opens
 // a phase nor counts as a scan, and the caller must hold a Registration
 // on this tree taken before phase was opened on the tree's clock.
-func (t *Tree) SuccAt(k int64, phase uint64) (int64, bool) {
+func (t *Map[V]) SuccAt(k int64, phase uint64) (int64, bool) {
 	var got int64
 	found := false
 	t.RangeScanAtFunc(k, MaxKey, phase, func(x int64) bool {
@@ -52,7 +52,7 @@ func (t *Tree) SuccAt(k int64, phase uint64) (int64, bool) {
 // Pivots always carry finite keys (the walk can only turn right at a
 // node with key <= k <= MaxKey), so their left subtrees contain no
 // sentinel leaves and the rightmost leaf is a valid answer.
-func (t *Tree) Pred(k int64) (int64, bool) {
+func (t *Map[V]) Pred(k int64) (int64, bool) {
 	checkKey(k)
 	reg := t.Register()
 	defer reg.Release()
@@ -65,10 +65,10 @@ func (t *Tree) Pred(k int64) (int64, bool) {
 // T_phase. Like RangeScanAtFunc it neither opens a phase nor counts as a
 // scan, and the caller must hold a Registration on this tree taken
 // before phase was opened on the tree's clock.
-func (t *Tree) PredAt(k int64, phase uint64) (int64, bool) {
+func (t *Map[V]) PredAt(k int64, phase uint64) (int64, bool) {
 	checkKey(k)
 	seq := phase
-	var pivot *node // last internal node where the walk went right
+	var pivot *node[V] // last internal node where the walk went right
 	n := t.root
 	for !n.isLeaf() {
 		t.helpIfPending(n)
@@ -91,7 +91,7 @@ func (t *Tree) PredAt(k int64, phase uint64) (int64, bool) {
 
 // rightmostLeaf descends right children of T_seq to the subtree's
 // largest leaf, helping pending updates on the way.
-func (t *Tree) rightmostLeaf(n *node, seq uint64) *node {
+func (t *Map[V]) rightmostLeaf(n *node[V], seq uint64) *node[V] {
 	for !n.isLeaf() {
 		t.helpIfPending(n)
 		n = mustReadChild(n, false, seq)
@@ -106,14 +106,14 @@ func (t *Tree) rightmostLeaf(n *node, seq uint64) *node {
 // was decided has drained (prune.go). So the rare help pins first and
 // re-checks inProgress under the pin: an attempt still undecided then
 // cannot have its references cleared until this pin is released.
-func (t *Tree) helpIfPending(n *node) {
+func (t *Map[V]) helpIfPending(n *node[V]) {
 	if in := n.update.Load().info; inProgress(in) {
 		t.helpPinned(n.key, in)
 	}
 }
 
 // helpPinned is helpIfPending's slow path: pin, re-check, help.
-func (t *Tree) helpPinned(k int64, in *info) {
+func (t *Map[V]) helpPinned(k int64, in *info[V]) {
 	s := t.pool.pins.enter(k)
 	if inProgress(in) {
 		t.stats.helps.Add(1)

@@ -93,21 +93,21 @@ func (p *pinTable) exit(i int) {
 
 // limboBatch holds one drain's garbage until the pin drain proves it
 // unreachable from any in-flight traversal.
-type limboBatch struct {
-	nodes   []*node // marked nodes of drained commits: poisoned and pooled
-	infos   []*info // drained attempt infos: node references cleared in place
-	waiting uint64  // bit i set ⇒ stripe i not yet observed idle since the batch's cuts
+type limboBatch[V any] struct {
+	nodes   []*node[V] // marked nodes of drained commits: poisoned and pooled
+	infos   []*info[V] // drained attempt infos: node references cleared in place
+	waiting uint64     // bit i set ⇒ stripe i not yet observed idle since the batch's cuts
 }
 
-// poolState is the reclamation machinery embedded in Tree.
-type poolState struct {
+// poolState is the reclamation machinery embedded in Map.
+type poolState[V any] struct {
 	pins    pinTable
 	pooling atomic.Bool // node recycling enabled (default on; SetPooling)
 
 	// retired is the retire stack's head: a Treiber stack linked through
 	// info.retireNext. Owners push (retire); only Compact pops, and it
 	// pops the whole stack at once, so there is no ABA.
-	retired atomic.Pointer[info]
+	retired atomic.Pointer[info[V]]
 
 	// compactMu serializes Compact passes; everything below it is guarded
 	// by it.
@@ -120,17 +120,17 @@ type poolState struct {
 	horizon uint64
 
 	// liveNodes is |T_H|, the size of the tree at the last pass's horizon
-	// phase: seeded by New/BuildFromSorted, then +2 per drained insert
-	// commit and -2 per drained delete commit.
+	// phase: seeded by New/BuildFromSorted, then moved by each drained
+	// commit's info.delta.
 	liveNodes int
 
 	// pending holds popped infos that could not be drained yet (phase
 	// above the horizon); retried first by every pass.
-	pending []*info
+	pending []*info[V]
 
-	limbo []*limboBatch // awaiting their pin drain
-	ripe  []*limboBatch // drained, recycled at the end of the pass
-	spare []*limboBatch // emptied batches whose slices the next drains reuse
+	limbo []*limboBatch[V] // awaiting their pin drain
+	ripe  []*limboBatch[V] // drained, recycled at the end of the pass
+	spare []*limboBatch[V] // emptied batches whose slices the next drains reuse
 
 	nodes sync.Pool // of *node, poisoned
 	infos sync.Pool // of *info, cleared and never published
@@ -142,27 +142,28 @@ type poolState struct {
 // stops both reuse and limbo collection of nodes (garbage reverts to the
 // GC); objects already in the pools are simply never handed out again.
 // Drained infos are cleared either way.
-func (t *Tree) SetPooling(on bool) { t.pool.pooling.Store(on) }
+func (t *Map[V]) SetPooling(on bool) { t.pool.pooling.Store(on) }
 
 // PoolingEnabled reports whether node/info recycling is on.
-func (t *Tree) PoolingEnabled() bool { return t.pool.pooling.Load() }
+func (t *Map[V]) PoolingEnabled() bool { return t.pool.pooling.Load() }
 
 // getNode returns a pooled node if recycling is on and one is available,
 // else a fresh allocation. Pooled nodes come back poisoned (all pointers
-// nil); the caller overwrites every field.
-func (t *Tree) getNode() *node {
+// nil, val zero); the caller overwrites every other field.
+func (t *Map[V]) getNode() *node[V] {
 	if t.pool.pooling.Load() {
 		if v := t.pool.nodes.Get(); v != nil {
 			t.stats.poolNodeHits.Add(1)
-			return v.(*node)
+			return v.(*node[V])
 		}
 	}
-	return &node{}
+	return &node[V]{}
 }
 
 // newLeaf hands out a leaf initialized as the paper's Insert does
-// (lines 161-162): fresh leaves have prev = ⊥.
-func (t *Tree) newLeaf(key int64, seq uint64) *node {
+// (lines 161-162): fresh leaves have prev = ⊥. Its val is zero; a caller
+// binding a value sets it before publishing.
+func (t *Map[V]) newLeaf(key int64, seq uint64) *node[V] {
 	n := t.getNode()
 	n.key = key
 	n.seqLeaf = packSeqLeaf(seq, true)
@@ -173,9 +174,9 @@ func (t *Tree) newLeaf(key int64, seq uint64) *node {
 
 // newNode hands out a node whose prev pointer is initialized to the
 // replaced node (the paper writes prev at creation; it is never changed
-// afterwards except for the pruner's cut to nil). Internal callers set
-// left/right before publishing.
-func (t *Tree) newNode(key int64, seq uint64, prev *node, leaf bool) *node {
+// afterwards except for the pruner's cut to nil). Callers set left/right
+// (internal nodes) or val (leaves) before publishing.
+func (t *Map[V]) newNode(key int64, seq uint64, prev *node[V], leaf bool) *node[V] {
 	n := t.getNode()
 	n.key = key
 	n.seqLeaf = packSeqLeaf(seq, leaf)
@@ -186,29 +187,29 @@ func (t *Tree) newNode(key int64, seq uint64, prev *node, leaf bool) *node {
 
 // newInfo hands out an info in state ⊥ with its embedded flag/mark
 // descriptors wired to itself. Pooled infos come back fully cleared.
-func (t *Tree) newInfo() *info {
+func (t *Map[V]) newInfo() *info[V] {
 	if t.pool.pooling.Load() {
 		if v := t.pool.infos.Get(); v != nil {
 			t.stats.poolInfoHits.Add(1)
-			return v.(*info)
+			return v.(*info[V])
 		}
 	}
-	in := new(info)
-	in.flagD = descriptor{typ: flag, info: in}
-	in.markD = descriptor{typ: mark, info: in}
+	in := new(info[V])
+	in.flagD = descriptor[V]{typ: flag, info: in}
+	in.markD = descriptor[V]{typ: mark, info: in}
 	return in
 }
 
 // recycleUnpublished returns an info whose first freeze CAS failed: it
 // was never installed anywhere, so no other goroutine can hold a
 // reference and it is immediately reusable.
-func (t *Tree) recycleUnpublished(in *info) {
+func (t *Map[V]) recycleUnpublished(in *info[V]) {
 	if !t.pool.pooling.Load() {
 		return
 	}
 	clearInfo(in)
 	in.state.Store(stateUndecided)
-	in.nn, in.markMask, in.ins, in.seq = 0, 0, false, 0
+	in.nn, in.markMask, in.delta, in.seq = 0, 0, 0, 0
 	t.pool.infos.Put(in)
 	t.stats.poolInfoPuts.Add(1)
 }
@@ -216,7 +217,7 @@ func (t *Tree) recycleUnpublished(in *info) {
 // retire pushes a published info onto the retire stack. Called by the
 // attempt's owner once help has returned (the attempt is decided), still
 // inside the owner's pin — the ordering Compact's ripen relies on.
-func (t *Tree) retire(in *info) {
+func (t *Map[V]) retire(in *info[V]) {
 	for {
 		head := t.pool.retired.Load()
 		in.retireNext = head
@@ -229,16 +230,19 @@ func (t *Tree) retire(in *info) {
 // clearInfo drops an info's node references. For a drained info the
 // caller must have proved that no helper which saw the attempt undecided
 // is still running (the pin drain): help reads these fields only then.
-func clearInfo(in *info) {
-	in.nodes = [maxFreeze]*node{}
-	in.oldUpdate = [maxFreeze]*descriptor{}
+func clearInfo[V any](in *info[V]) {
+	in.nodes = [maxFreeze]*node[V]{}
+	in.oldUpdate = [maxFreeze]*descriptor[V]{}
 	in.par, in.oldChild, in.newChild = nil, nil, nil
 }
 
-// poisonAndPutNode severs a drained node's references, stamps the poison
+// poisonAndPutNode severs a drained node's references, zeroes its value
+// (a pooled leaf must not keep a user value alive), stamps the poison
 // sentinel and pushes it to the pool.
-func (t *Tree) poisonAndPutNode(n *node) {
+func (t *Map[V]) poisonAndPutNode(n *node[V]) {
+	var zero V
 	n.key = 0
+	n.val = zero
 	n.seqLeaf = poisonSeq
 	n.prev.Store(nil)
 	n.left.Store(nil)
@@ -250,7 +254,7 @@ func (t *Tree) poisonAndPutNode(n *node) {
 
 // newBatch returns an empty limbo batch, reusing an emptied one (and its
 // slices) when there is one.
-func (t *Tree) newBatch() *limboBatch {
+func (t *Map[V]) newBatch() *limboBatch[V] {
 	p := &t.pool
 	if n := len(p.spare); n > 0 {
 		b := p.spare[n-1]
@@ -258,11 +262,11 @@ func (t *Tree) newBatch() *limboBatch {
 		p.spare = p.spare[:n-1]
 		return b
 	}
-	return new(limboBatch)
+	return new(limboBatch[V])
 }
 
 // freeBatch empties a batch and keeps it for reuse.
-func (t *Tree) freeBatch(b *limboBatch) {
+func (t *Map[V]) freeBatch(b *limboBatch[V]) {
 	clear(b.nodes)
 	clear(b.infos)
 	b.nodes, b.infos, b.waiting = b.nodes[:0], b.infos[:0], 0
@@ -273,7 +277,7 @@ func (t *Tree) freeBatch(b *limboBatch) {
 // currently-busy pin stripes. MUST run after the drain's cuts: a stripe
 // observed zero here can only belong to traversals that pinned after the
 // cuts and therefore cannot reach the batch.
-func (t *Tree) enqueueLimbo(b *limboBatch) {
+func (t *Map[V]) enqueueLimbo(b *limboBatch[V]) {
 	if len(b.nodes) == 0 && len(b.infos) == 0 {
 		t.freeBatch(b)
 		return
@@ -298,7 +302,7 @@ func (t *Tree) enqueueLimbo(b *limboBatch) {
 // batch is observed drained the push has happened; a pop after the
 // observation therefore sees the info (or an earlier pop did), and the
 // pass cuts N.prev before N is recycled rather than after.
-func (t *Tree) ripen() {
+func (t *Map[V]) ripen() {
 	kept := t.pool.limbo[:0]
 	for _, b := range t.pool.limbo {
 		for w := b.waiting; w != 0; w &= w - 1 {
@@ -319,7 +323,7 @@ func (t *Tree) ripen() {
 
 // recycleRipe clears the ripe batches' infos in place and pools their
 // nodes, returning how many of each it handled.
-func (t *Tree) recycleRipe() (nodes, infos int) {
+func (t *Map[V]) recycleRipe() (nodes, infos int) {
 	for i, b := range t.pool.ripe {
 		for _, in := range b.infos {
 			clearInfo(in)
@@ -338,4 +342,4 @@ func (t *Tree) recycleRipe() (nodes, infos int) {
 
 // limboSize reports how many batches are awaiting their pin drain
 // (whitebox tests).
-func (t *Tree) limboSize() int { return len(t.pool.limbo) }
+func (t *Map[V]) limboSize() int { return len(t.pool.limbo) }

@@ -101,10 +101,10 @@ func TestPoolPinsBlockRecycling(t *testing.T) {
 // reachableAt collects every node a registered reader at phase seq can
 // dereference: all chain members it steps through (head down to the first
 // phase-<=seq version) plus the children it recurses into.
-func reachableAt(tr *Tree, seq uint64) map[*node]struct{} {
-	reach := make(map[*node]struct{})
-	var walk func(n *node)
-	chase := func(head *node) *node {
+func reachableAt(tr *Tree, seq uint64) map[*node[struct{}]]struct{} {
+	reach := make(map[*node[struct{}]]struct{})
+	var walk func(n *node[struct{}])
+	chase := func(head *node[struct{}]) *node[struct{}] {
 		l := head
 		for l != nil && l.seqNum() > seq {
 			reach[l] = struct{}{} // dereferenced on the way down the chain
@@ -112,7 +112,7 @@ func reachableAt(tr *Tree, seq uint64) map[*node]struct{} {
 		}
 		return l
 	}
-	walk = func(n *node) {
+	walk = func(n *node[struct{}]) {
 		if n == nil {
 			return
 		}
@@ -152,7 +152,7 @@ func TestRecycledNeverReachableFromSnapshot(t *testing.T) {
 	// instead of draining straight into the pool.
 	s := tr.pool.pins.enter(3)
 	tr.Compact()
-	limboNodes := make(map[*node]struct{})
+	limboNodes := make(map[*node[struct{}]]struct{})
 	tr.pool.compactMu.Lock()
 	for _, b := range tr.pool.limbo {
 		for _, g := range b.nodes {
@@ -188,9 +188,9 @@ func TestRecycledNeverReachableFromSnapshot(t *testing.T) {
 
 func TestPoisonedReadFailsLoudly(t *testing.T) {
 	tr := New()
-	poisoned := &node{}
+	poisoned := &node[struct{}]{}
 	tr.poisonAndPutNode(poisoned) // keeps our reference; stamps the sentinel
-	p := &node{key: 10}
+	p := &node[struct{}]{key: 10}
 	p.update.Store(t_dummy(tr))
 	p.left.Store(poisoned)
 	defer func() {
@@ -202,7 +202,7 @@ func TestPoisonedReadFailsLoudly(t *testing.T) {
 }
 
 // t_dummy exposes the tree's dummy descriptor to whitebox tests.
-func t_dummy(tr *Tree) *descriptor { return tr.dummy }
+func t_dummy(tr *Tree) *descriptor[struct{}] { return tr.dummy }
 
 func TestAllocBudgetsUnpooled(t *testing.T) {
 	if raceEnabled {
@@ -227,6 +227,29 @@ func TestAllocBudgetsUnpooled(t *testing.T) {
 	d := int64(100000)
 	if got := testing.AllocsPerRun(200, func() { tr.Delete(d); d++ }); got > 2 {
 		t.Errorf("Delete allocs/op = %v, want <= 2 (1 node + 1 info)", got)
+	}
+	m := NewMap[int64]()
+	m.SetPooling(false)
+	for i := int64(0); i < 1024; i += 2 {
+		m.Put(i, i)
+	}
+	// Put on a present key is 1 replacement leaf + 1 info.
+	v := int64(0)
+	if got := testing.AllocsPerRun(200, func() { m.Put(v%1024&^1, v); v++ }); got > 2 {
+		t.Errorf("Put-replace allocs/op = %v, want <= 2 (1 leaf + 1 info)", got)
+	}
+	// Scans allocate nothing, even with the visitor closure built per call.
+	snap := tr.Snapshot()
+	defer snap.Release()
+	scans := map[string]func(){
+		"RangeScanFunc":  func() { n := 0; tr.RangeScanFunc(0, 1023, func(int64) bool { n++; return true }) },
+		"Snapshot.Range": func() { n := 0; snap.Range(0, 1023, func(int64) bool { n++; return true }) },
+		"EntriesFunc":    func() { s := int64(0); m.EntriesFunc(0, 1023, func(_, v int64) bool { s += v; return true }) },
+	}
+	for name, scan := range scans {
+		if got := testing.AllocsPerRun(100, scan); got != 0 {
+			t.Errorf("%s allocs/call = %v, want 0", name, got)
+		}
 	}
 }
 
@@ -266,33 +289,42 @@ func TestPoolingHalvesUpdateAllocs(t *testing.T) {
 }
 
 // TestPoolingModelChurn reuses recycled memory thousands of times against
-// a model oracle: any ABA slip or incomplete poisoning shows up as a
-// wrong answer or a broken invariant.
+// a model oracle, on a map so that Put-replace and the values ride along:
+// any ABA slip, incomplete poisoning or stale value shows up as a wrong
+// answer or a broken invariant.
 func TestPoolingModelChurn(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	rng := rand.New(rand.NewSource(1))
-	tr := New()
-	model := make(map[int64]bool)
+	tr := NewMap[int64]()
+	model := make(map[int64]int64) // Insert binds the zero value
 	iters := 20000
 	if testing.Short() {
 		iters = 4000
 	}
 	for i := 0; i < iters; i++ {
 		k := int64(rng.Intn(200))
-		switch rng.Intn(3) {
+		_, had := model[k]
+		switch rng.Intn(4) {
 		case 0:
-			if got, want := tr.Insert(k), !model[k]; got != want {
-				t.Fatalf("op %d: Insert(%d) = %v, want %v", i, k, got, want)
+			if got := tr.Insert(k); got == had {
+				t.Fatalf("op %d: Insert(%d) = %v, want %v", i, k, got, !had)
 			}
-			model[k] = true
+			if !had {
+				model[k] = 0
+			}
 		case 1:
-			if got, want := tr.Delete(k), model[k]; got != want {
-				t.Fatalf("op %d: Delete(%d) = %v, want %v", i, k, got, want)
+			if got := tr.Delete(k); got != had {
+				t.Fatalf("op %d: Delete(%d) = %v, want %v", i, k, got, had)
 			}
 			delete(model, k)
+		case 2:
+			if got := tr.Put(k, int64(i)); got != had {
+				t.Fatalf("op %d: Put(%d) replaced = %v, want %v", i, k, got, had)
+			}
+			model[k] = int64(i)
 		default:
-			if got, want := tr.Find(k), model[k]; got != want {
-				t.Fatalf("op %d: Find(%d) = %v, want %v", i, k, got, want)
+			if got, ok := tr.Get(k); ok != had || got != model[k] {
+				t.Fatalf("op %d: Get(%d) = %d,%v, want %d,%v", i, k, got, ok, model[k], had)
 			}
 		}
 		if i%256 == 255 {
@@ -307,14 +339,16 @@ func TestPoolingModelChurn(t *testing.T) {
 		want = append(want, k)
 	}
 	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-	got := tr.Keys()
-	if len(got) != len(want) {
-		t.Fatalf("Keys() = %d keys, model has %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("Keys()[%d] = %d, model %d", i, got[i], want[i])
+	var got []int64
+	tr.EntriesFunc(MinKey, MaxKey, func(k, v int64) bool {
+		if v != model[k] {
+			t.Fatalf("entry %d=%d, model %d", k, v, model[k])
 		}
+		got = append(got, k)
+		return true
+	})
+	if !equalKeys(got, want) {
+		t.Fatalf("keys %v, model %v", got, want)
 	}
 	if st := tr.Stats(); st.PoolNodeHits == 0 {
 		t.Error("model churn never drew from the pool")

@@ -9,10 +9,10 @@ package core
 // newChild.prev. newChild was created at seq, so every reader with phase
 // >= H stops at newChild (or at a newer version in front of it) and none
 // can need what is behind it. Behind the cut are exactly the nodes the
-// attempt marked — Insert's leaf, Delete's parent, leaf and sibling: a
-// marked node left the tree at seq, its only parent slot now leads to
-// newChild, and every older parent it had was itself marked at a phase
-// <= seq (DESIGN.md §6.2). Those nodes, and the drained infos, go to the
+// attempt marked — Insert's and Put's leaf, Delete's parent, leaf and
+// sibling: a marked node left the tree at seq, its only parent slot now
+// leads to newChild, and every older parent it had was itself marked at a
+// phase <= seq (DESIGN.md §6.2). Those nodes, and the drained infos, go to the
 // limbo → pin-drain → pool pipeline (pool.go). An aborted attempt changed
 // nothing in the tree; its info is drained at once. An attempt above the
 // horizon (or, defensively, still undecided) waits for a later pass.
@@ -48,7 +48,7 @@ type CompactStats struct {
 // operations; updates that retire during the pass are left for the next.
 // Typical use is periodic (see bst.Tree.StartAutoCompact) or after
 // bursts of updates.
-func (t *Tree) Compact() CompactStats {
+func (t *Map[V]) Compact() CompactStats {
 	p := &t.pool
 	p.compactMu.Lock()
 	defer p.compactMu.Unlock()
@@ -91,7 +91,7 @@ func (t *Tree) Compact() CompactStats {
 // drainRetired retries the infos earlier drains left pending, pops the
 // retire stack, and drains every info it can at horizon h into one fresh
 // limbo batch, which it enqueues after all of its cuts.
-func (t *Tree) drainRetired(h uint64, cs *CompactStats) {
+func (t *Map[V]) drainRetired(h uint64, cs *CompactStats) {
 	p := &t.pool
 	b := t.newBatch()
 	kept := p.pending[:0]
@@ -116,7 +116,7 @@ func (t *Tree) drainRetired(h uint64, cs *CompactStats) {
 
 // drainInfo drains one popped info into batch b if its attempt is decided
 // and, for a commit, at or below the horizon; it reports whether it did.
-func (t *Tree) drainInfo(in *info, h uint64, b *limboBatch, cs *CompactStats) bool {
+func (t *Map[V]) drainInfo(in *info[V], h uint64, b *limboBatch[V], cs *CompactStats) bool {
 	switch in.state.Load() {
 	case stateCommit:
 		if in.seq > h {
@@ -132,11 +132,7 @@ func (t *Tree) drainInfo(in *info, h uint64, b *limboBatch, cs *CompactStats) bo
 				}
 			}
 		}
-		if in.ins { // +3 new nodes, -1 marked leaf
-			t.pool.liveNodes += 2
-		} else { // +1 sibling copy, -3 marked
-			t.pool.liveNodes -= 2
-		}
+		t.pool.liveNodes += int(in.delta)
 	case stateAbort:
 	default:
 		return false
@@ -151,10 +147,10 @@ func (t *Tree) drainInfo(in *info, h uint64, b *limboBatch, cs *CompactStats) bo
 // root. With pruning this is O(live versions); without it, it grows with
 // the total update count. Diagnostic: call at quiescence for an exact
 // figure (a concurrent walk is safe but approximate).
-func (t *Tree) VersionGraphSize() int {
-	visited := make(map[*node]struct{}, 256)
-	var walk func(n *node)
-	walk = func(n *node) {
+func (t *Map[V]) VersionGraphSize() int {
+	visited := make(map[*node[V]]struct{}, 256)
+	var walk func(n *node[V])
+	walk = func(n *node[V]) {
 		for n != nil {
 			if _, ok := visited[n]; ok {
 				return

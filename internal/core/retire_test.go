@@ -20,17 +20,17 @@ import (
 // every chain, and sends everything behind those cuts that the walk did
 // not reach through the same limbo pipeline. It drops the retire stack
 // instead of draining it, so a tree must be pruned by compactFull only.
-func (t *Tree) compactFull() CompactStats {
+func (t *Map[V]) compactFull() CompactStats {
 	t.pool.compactMu.Lock()
 	defer t.pool.compactMu.Unlock()
 	t.pool.retired.Store(nil)
 
 	h := t.Horizon()
 	cs := CompactStats{Horizon: h}
-	live := make(map[*node]bool)
-	var heads []*node
-	var walk func(n *node)
-	walk = func(n *node) {
+	live := make(map[*node[V]]bool)
+	var heads []*node[V]
+	var walk func(n *node[V])
+	walk = func(n *node[V]) {
 		if n == nil || live[n] {
 			return
 		}
@@ -38,7 +38,7 @@ func (t *Tree) compactFull() CompactStats {
 		if n.isLeaf() {
 			return
 		}
-		for _, c := range [2]*node{n.left.Load(), n.right.Load()} {
+		for _, c := range [2]*node[V]{n.left.Load(), n.right.Load()} {
 			for c != nil && c.seqNum() > h { // newer than the horizon: stays linked
 				walk(c)
 				c = c.prev.Load()
@@ -58,9 +58,9 @@ func (t *Tree) compactFull() CompactStats {
 	cs.LiveNodes = len(live)
 
 	b := t.newBatch()
-	seen := make(map[*node]bool)
-	var collect func(g *node)
-	collect = func(g *node) {
+	seen := make(map[*node[V]]bool)
+	var collect func(g *node[V])
+	collect = func(g *node[V]) {
 		if g == nil || live[g] || seen[g] {
 			return
 		}
@@ -84,21 +84,24 @@ func (t *Tree) compactFull() CompactStats {
 	return cs
 }
 
+// drainWalkKeys is the key space of TestCompactMatchesFullWalk's histories.
+const drainWalkKeys = 512
+
 // TestCompactMatchesFullWalk runs identical single-goroutine histories on
 // pairs of trees — one pruned by the retire-stack drain, one by the old
 // whole-graph walk — and requires both to leave the same version graph,
 // the same garbage and the same keys, with invariants clean, after every
 // pass; at quiescence the drain's |T_H| must equal the walk's count.
 // Starting states cover insert-built, bulk-built and migration-built
-// trees; histories include phases opened by scans and a snapshot that
-// holds the horizon across several passes.
+// trees, plus replace-heavy map histories; histories include phases
+// opened by scans and a snapshot that holds the horizon across several
+// passes.
 func TestCompactMatchesFullWalk(t *testing.T) {
-	const keySpace = 512
 	migrationKeys := func() []int64 {
 		src := New()
 		rng := workload.NewRNG(5)
 		for i := 0; i < 4000; i++ {
-			k := rng.Intn(keySpace)
+			k := rng.Intn(drainWalkKeys)
 			if rng.Intn(2) == 0 {
 				src.Insert(k)
 			} else {
@@ -110,8 +113,8 @@ func TestCompactMatchesFullWalk(t *testing.T) {
 	starts := map[string]func() *Tree{
 		"insert-built": func() *Tree { return New() },
 		"bulk-built": func() *Tree {
-			keys := make([]int64, 0, keySpace/2)
-			for k := int64(0); k < keySpace; k += 2 {
+			keys := make([]int64, 0, drainWalkKeys/2)
+			for k := int64(0); k < drainWalkKeys; k += 2 {
 				keys = append(keys, k)
 			}
 			tr, err := BuildFromSortedKeys(nil, keys)
@@ -145,58 +148,80 @@ func TestCompactMatchesFullWalk(t *testing.T) {
 			return tr
 		},
 	}
+	insertDelete := func(tr *Tree, k, op int64) {
+		if op < 9 {
+			tr.Insert(k)
+		} else {
+			tr.Delete(k)
+		}
+	}
 	for name, start := range starts {
 		t.Run(name, func(t *testing.T) {
-			drained, walked := start(), start()
-			rng := workload.NewRNG(77)
-			var snaps [2]*Snapshot
-			for round := 0; round < 24; round++ {
-				for i := 0; i < 600; i++ {
-					k := rng.Intn(keySpace)
-					op := rng.Intn(20)
-					for _, tr := range []*Tree{drained, walked} {
-						switch {
-						case op < 9:
-							tr.Insert(k)
-						case op < 18:
-							tr.Delete(k)
-						default:
-							tr.RangeCount(k, k+16) // opens a phase
-						}
-					}
-				}
-				switch round % 8 {
-				case 2: // hold the horizon across the next passes
-					snaps = [2]*Snapshot{drained.Snapshot(), walked.Snapshot()}
-				case 5:
-					snaps[0].Release()
-					snaps[1].Release()
-					snaps = [2]*Snapshot{}
-				}
-				csD, csW := drained.Compact(), walked.compactFull()
-				where := fmt.Sprintf("round %d", round)
-				if csD.Horizon != csW.Horizon {
-					t.Fatalf("%s: horizons differ: drain %d, walk %d", where, csD.Horizon, csW.Horizon)
-				}
-				if csD.GarbageNodes != csW.GarbageNodes {
-					t.Fatalf("%s: garbage differs: drain %d, walk %d", where, csD.GarbageNodes, csW.GarbageNodes)
-				}
-				if d, w := drained.VersionGraphSize(), walked.VersionGraphSize(); d != w {
-					t.Fatalf("%s: version graph differs: drain %d, walk %d", where, d, w)
-				}
-				if snaps[0] == nil && csD.LiveNodes != csW.LiveNodes {
-					t.Fatalf("%s: quiescent live nodes differ: drain %d, walk %d", where, csD.LiveNodes, csW.LiveNodes)
-				}
-				if !equalKeys(drained.Keys(), walked.Keys()) {
-					t.Fatalf("%s: key sets differ", where)
-				}
-				for _, tr := range []*Tree{drained, walked} {
-					if err := tr.CheckInvariants(); err != nil {
-						t.Fatalf("%s: %v", where, err)
-					}
+			compareDrainWithWalk(t, start(), start(), insertDelete)
+		})
+	}
+	// About half of all ops replace a present key's leaf.
+	putDelete := func(tr *Map[int64], k, op int64) {
+		if op < 13 {
+			tr.Put(k, k*op)
+		} else {
+			tr.Delete(k)
+		}
+	}
+	t.Run("replace-heavy", func(t *testing.T) {
+		compareDrainWithWalk(t, NewMap[int64](), NewMap[int64](), putDelete)
+	})
+}
+
+// compareDrainWithWalk runs one history on drained (pruned by Compact) and
+// walked (pruned by compactFull) and compares them after every pass.
+// update applies op (in [0, 18)) to key k; the remaining ops open phases.
+func compareDrainWithWalk[V any](t *testing.T, drained, walked *Map[V], update func(tr *Map[V], k, op int64)) {
+	t.Helper()
+	rng := workload.NewRNG(77)
+	var snaps [2]*MapSnapshot[V]
+	for round := 0; round < 24; round++ {
+		for i := 0; i < 600; i++ {
+			k := rng.Intn(drainWalkKeys)
+			op := rng.Intn(20)
+			for _, tr := range []*Map[V]{drained, walked} {
+				if op < 18 {
+					update(tr, k, op)
+				} else {
+					tr.RangeCount(k, k+16) // opens a phase
 				}
 			}
-		})
+		}
+		switch round % 8 {
+		case 2: // hold the horizon across the next passes
+			snaps = [2]*MapSnapshot[V]{drained.Snapshot(), walked.Snapshot()}
+		case 5:
+			snaps[0].Release()
+			snaps[1].Release()
+			snaps = [2]*MapSnapshot[V]{}
+		}
+		csD, csW := drained.Compact(), walked.compactFull()
+		where := fmt.Sprintf("round %d", round)
+		if csD.Horizon != csW.Horizon {
+			t.Fatalf("%s: horizons differ: drain %d, walk %d", where, csD.Horizon, csW.Horizon)
+		}
+		if csD.GarbageNodes != csW.GarbageNodes {
+			t.Fatalf("%s: garbage differs: drain %d, walk %d", where, csD.GarbageNodes, csW.GarbageNodes)
+		}
+		if d, w := drained.VersionGraphSize(), walked.VersionGraphSize(); d != w {
+			t.Fatalf("%s: version graph differs: drain %d, walk %d", where, d, w)
+		}
+		if snaps[0] == nil && csD.LiveNodes != csW.LiveNodes {
+			t.Fatalf("%s: quiescent live nodes differ: drain %d, walk %d", where, csD.LiveNodes, csW.LiveNodes)
+		}
+		if !equalKeys(drained.Keys(), walked.Keys()) {
+			t.Fatalf("%s: key sets differ", where)
+		}
+		for _, tr := range []*Map[V]{drained, walked} {
+			if err := tr.CheckInvariants(); err != nil {
+				t.Fatalf("%s: %v", where, err)
+			}
+		}
 	}
 }
 
@@ -216,7 +241,7 @@ func TestDrainedInfoClearedAfterPinnedHelper(t *testing.T) {
 		t.Fatal("Delete(7) failed")
 	}
 	in := tr.pool.retired.Load()
-	if in == nil || in.state.Load() != stateCommit || in.ins {
+	if in == nil || in.state.Load() != stateCommit || in.delta != -2 {
 		t.Fatal("the committed delete's info is not on top of the retire stack")
 	}
 	cs := tr.Compact()
@@ -235,7 +260,7 @@ func TestDrainedInfoClearedAfterPinnedHelper(t *testing.T) {
 	if cs.RecycledInfos != 1 || cs.RecycledNodes != 3 {
 		t.Fatalf("pass after the unpin: %+v, want 1 info cleared and 3 nodes pooled", cs)
 	}
-	if in.nodes != [maxFreeze]*node{} || in.oldUpdate != [maxFreeze]*descriptor{} ||
+	if in.nodes != [maxFreeze]*node[struct{}]{} || in.oldUpdate != [maxFreeze]*descriptor[struct{}]{} ||
 		in.par != nil || in.oldChild != nil || in.newChild != nil || in.retireNext != nil {
 		t.Fatal("drained info still holds references after its pin drain")
 	}
@@ -250,10 +275,10 @@ func TestDrainedInfoClearedAfterPinnedHelper(t *testing.T) {
 	}
 }
 
-// TestNodeLayout pins the node at six words: the 48 B size class.
+// TestNodeLayout pins the set's node at six words: the 48 B size class.
 func TestNodeLayout(t *testing.T) {
-	if got := unsafe.Sizeof(node{}); got != 48 {
-		t.Fatalf("unsafe.Sizeof(node{}) = %d, want 48", got)
+	if got := unsafe.Sizeof(node[struct{}]{}); got != 48 {
+		t.Fatalf("unsafe.Sizeof(node[struct{}]{}) = %d, want 48", got)
 	}
 }
 

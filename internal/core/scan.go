@@ -7,7 +7,7 @@ package core
 // helping (and thereby resolving) exactly the in-progress updates on the
 // nodes it visits. Updates of later phases are invisible because the
 // traversal moves to version-seq children.
-func (t *Tree) RangeScan(a, b int64) []int64 {
+func (t *Map[V]) RangeScan(a, b int64) []int64 {
 	var out []int64
 	t.RangeScanFunc(a, b, func(k int64) bool {
 		out = append(out, k)
@@ -23,20 +23,30 @@ func (t *Tree) RangeScan(a, b int64) []int64 {
 // performed, matching the paper's remark that a scan "may print keys (or
 // perform some processing of the nodes, e.g., counting them) as it
 // traverses the tree, thus avoiding any space overhead".
-func (t *Tree) RangeScanFunc(a, b int64, visit func(k int64) bool) {
-	if b > MaxKey {
-		b = MaxKey
-	}
-	if a > b {
+func (t *Map[V]) RangeScanFunc(a, b int64, visit func(k int64) bool) {
+	t.scan(&scanner[V]{a: a, b: b, key: visit})
+}
+
+// EntriesFunc is RangeScanFunc for a map: it visits every key in [a, b]
+// with the value bound to it at the scan's phase, in ascending key order.
+// Wait-free, no per-entry allocation.
+func (t *Map[V]) EntriesFunc(a, b int64, visit func(k int64, v V) bool) {
+	t.scan(&scanner[V]{a: a, b: b, entry: visit})
+}
+
+// scan is RangeScanFunc and EntriesFunc: register, open a phase, traverse.
+func (t *Map[V]) scan(s *scanner[V]) {
+	s.b = min(s.b, MaxKey)
+	if s.a > s.b {
 		return
 	}
 	// Register before acquiring the phase so Compact's horizon cannot
 	// overtake this scan while it runs (horizon.go).
 	reg := t.Register()
 	defer reg.Release()
-	seq := t.clock.Open() // lines 130-131: read the counter, open a new phase
+	s.t, s.seq = t, t.clock.Open() // lines 130-131: read the counter, open a new phase
 	t.stats.scans.Add(1)
-	t.scanInto(t.root, seq, a, b, &visit)
+	s.scanInto(t.root)
 }
 
 // RangeScanAtFunc is the phase-explicit form of RangeScanFunc: it
@@ -52,19 +62,16 @@ func (t *Tree) RangeScanFunc(a, b int64, visit func(k int64) bool) {
 // THIS tree that was taken before phase was opened on the tree's clock;
 // otherwise Compact may prune versions the traversal still needs (which
 // panics rather than returning wrong data). Wait-free, like RangeScanFunc.
-func (t *Tree) RangeScanAtFunc(a, b int64, phase uint64, visit func(k int64) bool) {
-	if b > MaxKey {
-		b = MaxKey
+func (t *Map[V]) RangeScanAtFunc(a, b int64, phase uint64, visit func(k int64) bool) {
+	s := scanner[V]{t: t, seq: phase, a: a, b: min(b, MaxKey), key: visit}
+	if s.a <= s.b {
+		s.scanInto(t.root)
 	}
-	if a > b {
-		return
-	}
-	t.scanInto(t.root, phase, a, b, &visit)
 }
 
 // RangeScanAt returns every key in [a, b] of T_phase, ascending. Same
 // contract as RangeScanAtFunc.
-func (t *Tree) RangeScanAt(a, b int64, phase uint64) []int64 {
+func (t *Map[V]) RangeScanAt(a, b int64, phase uint64) []int64 {
 	var out []int64
 	t.RangeScanAtFunc(a, b, phase, func(k int64) bool {
 		out = append(out, k)
@@ -75,7 +82,7 @@ func (t *Tree) RangeScanAt(a, b int64, phase uint64) []int64 {
 
 // RangeCountAt returns the number of keys of T_phase in [a, b] without
 // allocating. Same contract as RangeScanAtFunc.
-func (t *Tree) RangeCountAt(a, b int64, phase uint64) int {
+func (t *Map[V]) RangeCountAt(a, b int64, phase uint64) int {
 	n := 0
 	t.RangeScanAtFunc(a, b, phase, func(int64) bool {
 		n++
@@ -86,7 +93,7 @@ func (t *Tree) RangeCountAt(a, b int64, phase uint64) int {
 
 // RangeCount returns the number of keys in [a, b]; a wait-free counting
 // scan with zero allocation.
-func (t *Tree) RangeCount(a, b int64) int {
+func (t *Map[V]) RangeCount(a, b int64) int {
 	n := 0
 	t.RangeScanFunc(a, b, func(int64) bool {
 		n++
@@ -95,38 +102,53 @@ func (t *Tree) RangeCount(a, b int64) int {
 	return n
 }
 
-// scanInto implements ScanHelper (lines 134-146) over T_seq. It returns
-// false when the visitor asked to stop. The visitor pointer avoids
-// re-boxing the closure on each recursive call.
-func (t *Tree) scanInto(n *node, seq uint64, a, b int64, visit *func(int64) bool) bool {
+// scanner is one traversal of T_seq over the keys in [a, b]: ScanHelper's
+// arguments, gathered so that each recursive step passes only the node.
+// Exactly one of key and entry is set. Branching at the leaf, rather than
+// adapting a key visitor into an entry visitor, keeps the set's scan at
+// one direct call per key.
+type scanner[V any] struct {
+	t     *Map[V]
+	seq   uint64
+	a, b  int64
+	key   func(k int64) bool
+	entry func(k int64, v V) bool
+}
+
+// scanInto implements ScanHelper (lines 134-146) over T_seq from n. It
+// returns false when the visitor asked to stop.
+func (s *scanner[V]) scanInto(n *node[V]) bool {
 	if n.isLeaf() {
-		if n.key >= a && n.key <= b {
-			return (*visit)(n.key)
+		if n.key < s.a || n.key > s.b {
+			return true
 		}
-		return true
+		if s.key != nil {
+			return s.key(n.key)
+		}
+		return s.entry(n.key, n.val)
 	}
 	// Help any in-progress update frozen on this node (line 139-140) so
 	// that every phase-<=seq update on the traversed region is resolved
 	// (committed into T_seq or aborted) before we descend. The check is
 	// helpIfPending's, written out so it stays inline on the scan path.
 	if in := n.update.Load().info; inProgress(in) {
-		t.helpPinned(n.key, in)
+		s.t.helpPinned(n.key, in)
 	}
-	if a > n.key { // whole range is in the right subtree
-		return t.scanInto(mustReadChild(n, false, seq), seq, a, b, visit)
+	if s.a > n.key { // whole range is in the right subtree
+		return s.scanInto(mustReadChild(n, false, s.seq))
 	}
-	if b < n.key { // whole range is in the left subtree
-		return t.scanInto(mustReadChild(n, true, seq), seq, a, b, visit)
+	if s.b < n.key { // whole range is in the left subtree
+		return s.scanInto(mustReadChild(n, true, s.seq))
 	}
-	if !t.scanInto(mustReadChild(n, true, seq), seq, a, b, visit) {
+	if !s.scanInto(mustReadChild(n, true, s.seq)) {
 		return false
 	}
-	return t.scanInto(mustReadChild(n, false, seq), seq, a, b, visit)
+	return s.scanInto(mustReadChild(n, false, s.seq))
 }
 
 // Keys returns every key currently in the set, ascending. Equivalent to
 // RangeScan(MinKey, MaxKey); wait-free.
-func (t *Tree) Keys() []int64 { return t.RangeScan(MinKey, MaxKey) }
+func (t *Map[V]) Keys() []int64 { return t.RangeScan(MinKey, MaxKey) }
 
 // Len returns the number of keys in the set via a wait-free counting scan.
-func (t *Tree) Len() int { return t.RangeCount(MinKey, MaxKey) }
+func (t *Map[V]) Len() int { return t.RangeCount(MinKey, MaxKey) }

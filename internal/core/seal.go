@@ -38,7 +38,7 @@ package core
 //
 // Callers (shard migration) must Seal BEFORE opening the snapshot-cut
 // phase on the clock the tree shares.
-func (t *Tree) Seal() { t.sealed.Store(true) }
+func (t *Map[V]) Seal() { t.sealed.Store(true) }
 
 // Sealed reports whether the tree has been retired by Seal.
-func (t *Tree) Sealed() bool { return t.sealed.Load() }
+func (t *Map[V]) Sealed() bool { return t.sealed.Load() }

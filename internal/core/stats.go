@@ -49,7 +49,7 @@ type StatsSnapshot struct {
 }
 
 // Stats returns a point-in-time copy of the tree's counters.
-func (t *Tree) Stats() StatsSnapshot {
+func (t *Map[V]) Stats() StatsSnapshot {
 	return StatsSnapshot{
 		RetriesInsert:   t.stats.retriesInsert.Load(),
 		RetriesDelete:   t.stats.retriesDelete.Load(),
@@ -70,7 +70,7 @@ func (t *Tree) Stats() StatsSnapshot {
 }
 
 // ResetStats zeroes all counters.
-func (t *Tree) ResetStats() {
+func (t *Map[V]) ResetStats() {
 	t.stats.retriesInsert.Store(0)
 	t.stats.retriesDelete.Store(0)
 	t.stats.retriesFind.Store(0)

@@ -7,19 +7,26 @@ import (
 	"repro/internal/epoch"
 )
 
-// Tree is a PNB-BST: a linearizable concurrent set of int64 keys with
-// non-blocking Insert/Delete/Find and wait-free RangeScan/Snapshot.
-// The zero value is not usable; call New.
+// Map is a PNB-BST whose leaves carry a value of type V: a linearizable
+// concurrent map from int64 keys to V with non-blocking
+// Insert/Put/Delete/Find/Get and wait-free RangeScan/Snapshot. The set is
+// the struct{} instantiation, Tree. The zero value is not usable; call
+// NewMap (or New for the set).
+//
+// Values are immutable once installed: Put on a present key installs a
+// fresh leaf whose prev is the old one, so readers of earlier phases keep
+// seeing the value bound at their phase. Insert binds a new key to the
+// zero V.
 //
 // All methods are safe for concurrent use by any number of goroutines.
-type Tree struct {
+type Map[V any] struct {
 	// clock is the tree's phase counter. New gives every tree its own;
 	// NewWithClock lets several trees share one, which is what makes
 	// cross-shard scans atomic (see Clock and internal/shard).
 	clock *Clock
 
-	root  *node
-	dummy *descriptor
+	root  *node[V]
+	dummy *descriptor[V]
 
 	// disableHandshake removes the paper's handshaking check (Help,
 	// lines 111-113) so that every attempt proceeds as if the counter
@@ -40,10 +47,13 @@ type Tree struct {
 	// pool holds the recycling machinery: the striped pin table that every
 	// traversal passes through, the limbo queue Compact feeds, and the
 	// node/info free pools it drains into (pool.go).
-	pool poolState
+	pool poolState[V]
 
 	stats Stats
 }
+
+// Tree is the PNB-BST set: a Map whose leaves carry no value.
+type Tree = Map[struct{}]
 
 // New returns an empty tree, initialized per Figure 2 (lines 28-31): the
 // root is an internal node with key ∞2 whose children are leaves ∞1 and
@@ -51,6 +61,9 @@ type Tree struct {
 // (whose state is Abort, i.e. not frozen). The tree gets a private phase
 // clock; use NewWithClock to share one clock across several trees.
 func New() *Tree { return NewWithClock(NewClock()) }
+
+// NewMap returns an empty map with a private phase clock; see New.
+func NewMap[V any]() *Map[V] { return newMap[V](nil) }
 
 // NewWithClock returns an empty tree whose phase counter is the given
 // clock (nil gets a fresh private clock). Trees sharing a clock form one
@@ -60,20 +73,23 @@ func New() *Tree { return NewWithClock(NewClock()) }
 // price is that the handshaking check now aborts a pending update in any
 // tree of the domain when the shared clock advances, wherever the advance
 // came from.
-func NewWithClock(c *Clock) *Tree {
+func NewWithClock(c *Clock) *Tree { return newMap[struct{}](c) }
+
+// newMap is NewWithClock for any value type.
+func newMap[V any](c *Clock) *Map[V] {
 	if c == nil {
 		c = NewClock()
 	}
-	t := &Tree{clock: c}
-	dummyInfo := &info{} // reference-free and never on the retire stack
-	dummyInfo.flagD = descriptor{typ: flag, info: dummyInfo}
-	dummyInfo.markD = descriptor{typ: mark, info: dummyInfo}
+	t := &Map[V]{clock: c}
+	dummyInfo := &info[V]{} // reference-free and never on the retire stack
+	dummyInfo.flagD = descriptor[V]{typ: flag, info: dummyInfo}
+	dummyInfo.markD = descriptor[V]{typ: mark, info: dummyInfo}
 	dummyInfo.state.Store(stateAbort)
 	t.dummy = &dummyInfo.flagD
 	t.pool.pooling.Store(true)
 	t.pool.liveNodes = 3 // root and the two sentinel leaves
 
-	root := &node{key: inf2}
+	root := &node[V]{key: inf2}
 	root.update.Store(t.dummy)
 	root.left.Store(t.newLeaf(inf1, 0))
 	root.right.Store(t.newLeaf(inf2, 0))
@@ -110,8 +126,8 @@ func checkKey(k int64) {
 // node deflects stale traversals the same way: its sequence number is the
 // poison sentinel, larger than every real phase, so the chase treats it
 // as too-new and falls through to its prev, which poisoning set to nil.
-func readChild(p *node, left bool, seq uint64) *node {
-	var l *node
+func readChild[V any](p *node[V], left bool, seq uint64) *node[V] {
+	var l *node[V]
 	if left {
 		l = p.left.Load()
 	} else {
@@ -127,7 +143,7 @@ func readChild(p *node, left bool, seq uint64) *node {
 // pruner can never overtake; a cut chain here means the registration was
 // released while the traversal was still running, and a poisoned node
 // means the recycler violated the horizon — both fail loudly.
-func mustReadChild(p *node, left bool, seq uint64) *node {
+func mustReadChild[V any](p *node[V], left bool, seq uint64) *node[V] {
 	l := readChild(p, left, seq)
 	if l == nil {
 		panic("core: version chain pruned below an active traversal's phase (Snapshot used after Release?)")
@@ -143,7 +159,7 @@ func mustReadChild(p *node, left bool, seq uint64) *node {
 // grandparent (gp is nil when the leaf's parent is the root). A nil leaf
 // reports that the pruner cut a version chain under seq; callers restart
 // with a fresh phase.
-func (t *Tree) search(k int64, seq uint64) (gp, p, l *node) {
+func (t *Map[V]) search(k int64, seq uint64) (gp, p, l *node[V]) {
 	l = t.root
 	for l != nil && !l.isLeaf() {
 		gp = p
@@ -157,7 +173,7 @@ func (t *Tree) search(k int64, seq uint64) (gp, p, l *node) {
 // if parent is frozen, then check that child is still parent's current
 // left/right child. On success it returns the un-frozen update value read
 // from parent, to be used as the expected value of a later freeze CAS.
-func (t *Tree) validateLink(parent, child *node, left bool) (bool, *descriptor) {
+func (t *Map[V]) validateLink(parent, child *node[V], left bool) (bool, *descriptor[V]) {
 	up := parent.update.Load()
 	if frozen(up) {
 		t.help(up.info)
@@ -178,8 +194,8 @@ func (t *Tree) validateLink(parent, child *node, left bool) (bool, *descriptor) 
 // validateLeaf implements ValidateLeaf (lines 60-68): validate the
 // parent→leaf link and (unless p is the root) the grandparent→parent
 // link, then re-read both update fields to ensure neither changed.
-func (t *Tree) validateLeaf(gp, p, l *node, k int64) (bool, *descriptor, *descriptor) {
-	var gpupdate *descriptor
+func (t *Map[V]) validateLeaf(gp, p, l *node[V], k int64) (bool, *descriptor[V], *descriptor[V]) {
+	var gpupdate *descriptor[V]
 	validated, pupdate := t.validateLink(p, l, k < p.key)
 	if validated && p != t.root {
 		validated, gpupdate = t.validateLink(gp, p, k < gp.key)
@@ -202,43 +218,53 @@ const (
 	opRetry
 )
 
-// findOnce is one attempt of Find at phase seq. Stale phases are safe:
+// findOnce is one attempt of Get at phase seq. Stale phases are safe:
 // validateLeaf anchors the traversed branch to the CURRENT child
 // pointers, so a success at any seq is a read of the present state (an
 // outdated seq merely makes validation likelier to fail and retry).
-func (t *Tree) findOnce(k int64, seq uint64) (res bool, st opOutcome) {
+func (t *Map[V]) findOnce(k int64, seq uint64) (v V, found bool, st opOutcome) {
 	gp, p, l := t.search(k, seq)
 	if l == nil {
 		t.stats.retriesHorizon.Add(1)
-		return false, opRetry
+		return v, false, opRetry
 	}
 	validated, _, _ := t.validateLeaf(gp, p, l, k)
-	if validated {
-		return l.key == k, opDone
+	if !validated {
+		t.stats.retriesFind.Add(1)
+		return v, false, opRetry
 	}
-	t.stats.retriesFind.Add(1)
-	return false, opRetry
+	if l.key == k {
+		v = l.val
+	}
+	return v, l.key == k, opDone
 }
 
-// Find reports whether k is in the set (paper lines 69-82). It is
-// linearizable and non-blocking; it helps an update only when that update
-// has frozen the parent or grandparent of the leaf it arrives at.
-func (t *Tree) Find(k int64) bool {
+// Get returns the value bound to k, if any (paper lines 69-82, returning
+// the leaf's value). It is linearizable and non-blocking; it helps an
+// update only when that update has frozen the parent or grandparent of
+// the leaf it arrives at.
+func (t *Map[V]) Get(k int64) (V, bool) {
 	checkKey(k)
 	s := t.pool.pins.enter(k)
 	defer t.pool.pins.exit(s)
 	for {
-		if res, st := t.findOnce(k, t.clock.Now()); st == opDone {
-			return res
+		if v, found, st := t.findOnce(k, t.clock.Now()); st == opDone {
+			return v, found
 		}
 	}
 }
 
+// Find reports whether k is present: Get with the value dropped.
+func (t *Map[V]) Find(k int64) bool {
+	_, found := t.Get(k)
+	return found
+}
+
 // Contains is an alias for Find.
-func (t *Tree) Contains(k int64) bool { return t.Find(k) }
+func (t *Map[V]) Contains(k int64) bool { return t.Find(k) }
 
 // casChild implements CAS-Child (lines 83-88).
-func casChild(parent, old, new *node) {
+func casChild[V any](parent, old, new *node[V]) {
 	if new.key < parent.key {
 		parent.left.CompareAndSwap(old, new)
 	} else {
@@ -250,7 +276,7 @@ func casChild(parent, old, new *node) {
 // (paper lines 147-168). Non-blocking. Insert on a sealed tree is a
 // routing bug (the caller should have re-resolved the owning tree) and
 // panics; composite structures use TryInsert.
-func (t *Tree) Insert(k int64) bool {
+func (t *Map[V]) Insert(k int64) bool {
 	res, ok := t.TryInsert(k)
 	if !ok {
 		panic("core: Insert on a sealed Tree (re-route the key and use TryInsert; see Seal)")
@@ -266,7 +292,7 @@ func (t *Tree) Insert(k int64) bool {
 // iteration that proceeded past the check has phase <= the seal's cut
 // (see Seal) — so a committed attempt is part of the migration snapshot
 // and TryInsert reports ok=true for it.
-func (t *Tree) TryInsert(k int64) (res, ok bool) {
+func (t *Map[V]) TryInsert(k int64) (res, ok bool) {
 	res, _, ok = t.TryInsertPhase(k)
 	return res, ok
 }
@@ -280,7 +306,27 @@ func (t *Tree) TryInsert(k int64) (res, ok bool) {
 // phase <= c, which is what makes "replay records with phase > c" exact
 // (internal/persist). For res=false the phase is the one the duplicate
 // was observed at (the linearization phase of the failed insert).
-func (t *Tree) TryInsertPhase(k int64) (res bool, phase uint64, ok bool) {
+func (t *Map[V]) TryInsertPhase(k int64) (res bool, phase uint64, ok bool) {
+	var zero V
+	return t.tryPut(k, zero, false)
+}
+
+// Put binds k to v, reporting whether it replaced an existing binding. An
+// absent key is inserted exactly as Insert does; a present key's leaf l is
+// swapped for a fresh leaf carrying v whose prev is l, so readers of
+// earlier phases still find the old value. Non-blocking. Put on a sealed
+// tree panics, like Insert.
+func (t *Map[V]) Put(k int64, v V) (replaced bool) {
+	inserted, _, ok := t.tryPut(k, v, true)
+	if !ok {
+		panic("core: Put on a sealed Tree (re-route the key; see Seal)")
+	}
+	return !inserted
+}
+
+// tryPut is the retry loop of TryInsertPhase (replace=false) and Put
+// (replace=true), with TryInsertPhase's seal and phase contract.
+func (t *Map[V]) tryPut(k int64, v V, replace bool) (inserted bool, phase uint64, ok bool) {
 	checkKey(k)
 	s := t.pool.pins.enter(k)
 	defer t.pool.pins.exit(s)
@@ -289,17 +335,21 @@ func (t *Tree) TryInsertPhase(k int64) (res bool, phase uint64, ok bool) {
 		if t.sealed.Load() {
 			return false, 0, false
 		}
-		if res, st := t.insertOnce(k, seq); st == opDone {
+		if res, st := t.putOnce(k, v, seq, replace); st == opDone {
 			return res, seq, true
 		}
 	}
 }
 
-// insertOnce is one attempt of Insert at phase seq (paper lines 147-168).
+// putOnce is one attempt of Insert (paper lines 147-168) at phase seq,
+// binding k to v, reporting whether k was absent. With replace set, a
+// present key gets the paper's insert attempt with a different new child:
+// the same freeze set {p, l} with mark {l}, and in place of the three-node
+// subtree a single fresh leaf for k whose prev is l (DESIGN.md §3).
 // A stale seq can never commit wrongly: execute's handshake check aborts
 // any attempt whose phase no longer matches the clock, so a commit at seq
 // proves the clock still read seq at decision time.
-func (t *Tree) insertOnce(k int64, seq uint64) (res bool, st opOutcome) {
+func (t *Map[V]) putOnce(k int64, v V, seq uint64, replace bool) (inserted bool, st opOutcome) {
 	gp, p, l := t.search(k, seq)
 	if l == nil {
 		t.stats.retriesHorizon.Add(1)
@@ -310,29 +360,39 @@ func (t *Tree) insertOnce(k int64, seq uint64) (res bool, st opOutcome) {
 		t.stats.retriesInsert.Add(1)
 		return false, opRetry
 	}
+	var newChild *node[V]
+	var delta int8
 	if l.key == k {
-		return false, opDone // cannot insert duplicate key
-	}
-	// Build the replacement subtree: an internal node whose two
-	// children are a fresh leaf for k and a fresh copy of l
-	// (lines 161-163). The internal node's prev points at l.
-	nl := t.newLeaf(k, seq)
-	sib := t.newLeaf(l.key, seq)
-	ni := t.newNode(maxKey(k, l.key), seq, l, false)
-	if k < l.key {
-		ni.left.Store(nl)
-		ni.right.Store(sib)
+		if !replace {
+			return false, opDone // cannot insert duplicate key
+		}
+		newChild = t.newNode(k, seq, l, true) // +1 new leaf, -1 marked leaf: delta 0
+		newChild.val = v
 	} else {
-		ni.left.Store(sib)
-		ni.right.Store(nl)
+		// Build the replacement subtree: an internal node whose two
+		// children are a fresh leaf for k and a fresh copy of l
+		// (lines 161-163). The internal node's prev points at l.
+		nl := t.newLeaf(k, seq)
+		nl.val = v
+		sib := t.newLeaf(l.key, seq)
+		sib.val = l.val
+		ni := t.newNode(maxKey(k, l.key), seq, l, false)
+		if k < l.key {
+			ni.left.Store(nl)
+			ni.right.Store(sib)
+		} else {
+			ni.left.Store(sib)
+			ni.right.Store(nl)
+		}
+		newChild, delta = ni, 2 // +3 new nodes, -1 marked leaf
 	}
 	ok := t.execute(
-		[maxFreeze]*node{p, l},
-		[maxFreeze]*descriptor{pupdate, l.update.Load()},
+		[maxFreeze]*node[V]{p, l},
+		[maxFreeze]*descriptor[V]{pupdate, l.update.Load()},
 		2, 1<<1, // mark = {l}
-		p, l, ni, seq, true)
+		p, l, newChild, seq, delta)
 	if ok {
-		return true, opDone
+		return l.key != k, opDone
 	}
 	t.stats.retriesInsert.Add(1)
 	return false, opRetry
@@ -343,7 +403,7 @@ func (t *Tree) insertOnce(k int64, seq uint64) (res bool, st opOutcome) {
 // the current phase and prev = p) rather than re-linked, which keeps the
 // prev/child graph acyclic (paper §4.2). Non-blocking. Delete on a sealed
 // tree panics, like Insert; composite structures use TryDelete.
-func (t *Tree) Delete(k int64) bool {
+func (t *Map[V]) Delete(k int64) bool {
 	res, ok := t.TryDelete(k)
 	if !ok {
 		panic("core: Delete on a sealed Tree (re-route the key and use TryDelete; see Seal)")
@@ -354,7 +414,7 @@ func (t *Tree) Delete(k int64) bool {
 // TryDelete is Delete that refuses sealed trees, with exactly TryInsert's
 // contract: ok=false means the tree is sealed and the delete did not take
 // effect; ok=true results are part of the migration snapshot.
-func (t *Tree) TryDelete(k int64) (res, ok bool) {
+func (t *Map[V]) TryDelete(k int64) (res, ok bool) {
 	res, _, ok = t.TryDeletePhase(k)
 	return res, ok
 }
@@ -362,7 +422,7 @@ func (t *Tree) TryDelete(k int64) (res, ok bool) {
 // TryDeletePhase is TryDelete reporting the deciding attempt's phase,
 // with exactly TryInsertPhase's contract: for res=true it is the exact
 // commit phase of the delete.
-func (t *Tree) TryDeletePhase(k int64) (res bool, phase uint64, ok bool) {
+func (t *Map[V]) TryDeletePhase(k int64) (res bool, phase uint64, ok bool) {
 	checkKey(k)
 	s := t.pool.pins.enter(k)
 	defer t.pool.pins.exit(s)
@@ -379,7 +439,7 @@ func (t *Tree) TryDeletePhase(k int64) (res bool, phase uint64, ok bool) {
 
 // deleteOnce is one attempt of Delete at phase seq (paper lines 169-195);
 // insertOnce's note on stale phases applies unchanged.
-func (t *Tree) deleteOnce(k int64, seq uint64) (res bool, st opOutcome) {
+func (t *Map[V]) deleteOnce(k int64, seq uint64) (res bool, st opOutcome) {
 	gp, p, l := t.search(k, seq)
 	if l == nil {
 		t.stats.retriesHorizon.Add(1)
@@ -409,7 +469,8 @@ func (t *Tree) deleteOnce(k int64, seq uint64) (res bool, st opOutcome) {
 	// Copy the sibling with the current phase; prev points at p, the
 	// node the copy replaces under gp (line 185).
 	cp := t.newNode(sibling.key, seq, p, sibling.isLeaf())
-	var supdate *descriptor
+	cp.val = sibling.val
+	var supdate *descriptor[V]
 	if !sibling.isLeaf() {
 		cp.left.Store(sibling.left.Load())
 		cp.right.Store(sibling.right.Load())
@@ -424,10 +485,10 @@ func (t *Tree) deleteOnce(k int64, seq uint64) (res bool, st opOutcome) {
 	}
 	if validated {
 		ok := t.execute(
-			[maxFreeze]*node{gp, p, l, sibling},
-			[maxFreeze]*descriptor{gpupdate, pupdate, l.update.Load(), supdate},
+			[maxFreeze]*node[V]{gp, p, l, sibling},
+			[maxFreeze]*descriptor[V]{gpupdate, pupdate, l.update.Load(), supdate},
 			4, 1<<1|1<<2|1<<3, // mark = {p, l, sibling}
-			gp, p, cp, seq, false)
+			gp, p, cp, seq, -2) // +1 sibling copy, -3 marked
 		if ok {
 			return true, opDone
 		}
@@ -442,8 +503,8 @@ func (t *Tree) deleteOnce(k int64, seq uint64) (res bool, st opOutcome) {
 // info is then pushed onto the retire stack, still inside the caller's
 // pin, which is what lets Compact find this attempt's garbage without
 // walking the tree (prune.go).
-func (t *Tree) execute(nodes [maxFreeze]*node, oldUpdate [maxFreeze]*descriptor,
-	nn uint8, markMask uint8, par, oldChild, newChild *node, seq uint64, ins bool) bool {
+func (t *Map[V]) execute(nodes [maxFreeze]*node[V], oldUpdate [maxFreeze]*descriptor[V],
+	nn uint8, markMask uint8, par, oldChild, newChild *node[V], seq uint64, delta int8) bool {
 	for i := 0; i < int(nn); i++ {
 		if frozen(oldUpdate[i]) {
 			if inProgress(oldUpdate[i].info) {
@@ -462,7 +523,7 @@ func (t *Tree) execute(nodes [maxFreeze]*node, oldUpdate [maxFreeze]*descriptor,
 	in.oldChild = oldChild
 	in.newChild = newChild
 	in.seq = seq
-	in.ins = ins
+	in.delta = delta
 	if nodes[0].update.CompareAndSwap(oldUpdate[0], &in.flagD) { // freeze (flag) CAS
 		ok := t.help(in)
 		t.retire(in)
@@ -480,7 +541,7 @@ func (t *Tree) execute(nodes [maxFreeze]*node, oldUpdate [maxFreeze]*descriptor,
 // pro-actively (lines 111-112). Otherwise it freezes the remaining nodes,
 // applies the child CAS and commits. Any process may help any attempt;
 // only the first freeze CAS per node and the first child CAS can succeed.
-func (t *Tree) help(in *info) bool {
+func (t *Map[V]) help(in *info[V]) bool {
 	if !t.disableHandshake && t.clock.Now() != in.seq {
 		if in.state.CompareAndSwap(stateUndecided, stateAbort) { // abort CAS
 			t.stats.handshakeAborts.Add(1)
@@ -516,8 +577,8 @@ func maxKey(a, b int64) int64 {
 // Root sequence accessors used by sibling files and tests.
 
 // phase returns the current value of the phase clock.
-func (t *Tree) phase() uint64 { return t.clock.Now() }
+func (t *Map[V]) phase() uint64 { return t.clock.Now() }
 
 // Clock returns the tree's phase clock — the one it was constructed with
 // (shared with other trees if NewWithClock was used).
-func (t *Tree) Clock() *Clock { return t.clock }
+func (t *Map[V]) Clock() *Clock { return t.clock }

@@ -45,9 +45,9 @@ const (
 // remains equivalent to CAS on the packed word: the paper's no-ABA
 // argument (Lemma 7) — every successful CAS installs a pointer to an
 // Info created after the expected value was read — holds unchanged.
-type descriptor struct {
+type descriptor[V any] struct {
 	typ  descType
-	info *info
+	info *info[V]
 }
 
 // maxFreeze bounds the nodes one attempt touches: Insert freezes
@@ -55,7 +55,7 @@ type descriptor struct {
 const maxFreeze = 4
 
 // info is the paper's Info object (Figure 2, lines 5-14). It describes one
-// attempt of an Insert or Delete so that any process can complete (help)
+// attempt of an Insert, Put or Delete so that any process can complete (help)
 // or abort it. All fields except state are immutable between newInfo and
 // the attempt's decision.
 //
@@ -67,28 +67,28 @@ const maxFreeze = 4
 // references in place once the pin drain proves no helper that saw the
 // attempt undecided is still running (prune.go). A published info is
 // never recycled: nodes keep pointing at it through their update fields.
-type info struct {
+type info[V any] struct {
 	state atomic.Int32 // ⊥ / Try / Commit / Abort
 
-	nn        uint8                  // number of nodes to freeze
-	markMask  uint8                  // bit i set ⇒ nodes[i] is marked (mark ⊆ nodes)
-	ins       bool                   // created by Insert (the drain's live-node accounting)
-	nodes     [maxFreeze]*node       // nodes to freeze, in freeze order; nodes[0] is flagged first
-	oldUpdate [maxFreeze]*descriptor // expected update values for the freeze CASes
-	par       *node                  // node whose child pointer changes (an element of nodes)
-	oldChild  *node                  // expected child of par
-	newChild  *node                  // replacement child; newChild.prev == oldChild
-	seq       uint64                 // phase of the attempt
+	nn        uint8                     // number of nodes to freeze
+	markMask  uint8                     // bit i set ⇒ nodes[i] is marked (mark ⊆ nodes)
+	delta     int8                      // live-node change on commit: +2 insert, -2 delete, 0 replace
+	nodes     [maxFreeze]*node[V]       // nodes to freeze, in freeze order; nodes[0] is flagged first
+	oldUpdate [maxFreeze]*descriptor[V] // expected update values for the freeze CASes
+	par       *node[V]                  // node whose child pointer changes (an element of nodes)
+	oldChild  *node[V]                  // expected child of par
+	newChild  *node[V]                  // replacement child; newChild.prev == oldChild
+	seq       uint64                    // phase of the attempt
 
 	// retireNext links the tree's retire stack (intrusive, so a push is
 	// one CAS and no allocation). Written by the owner before its push
 	// CAS; read and reset only by Compact after popping.
-	retireNext *info
+	retireNext *info[V]
 
 	// Pre-typed freeze descriptors pointing back at this info. They are
 	// initialized once (newInfo) and never change, even across pool
 	// reuse: flagD = {flag, this}, markD = {mark, this}.
-	flagD, markD descriptor
+	flagD, markD descriptor[V]
 }
 
 // leafBit is packed into the top bit of node.seqLeaf. Phase numbers are
@@ -97,28 +97,32 @@ const leafBit = uint64(1) << 63
 
 // node represents both Internal and Leaf nodes (paper Figure 2, lines
 // 15-27). A leaf never has its left/right pointers set; the leaf bit of
-// seqLeaf discriminates. key and seqLeaf are immutable after creation
-// (except for poisoning of recycled nodes, see pool.go). prev is written
+// seqLeaf discriminates. key, val and seqLeaf are immutable after creation
+// (except for poisoning of recycled nodes, see pool.go); val is the leaf's
+// value and stays zero in internal nodes. prev is written
 // once at creation (the node this one replaced in its parent; nil for
 // phase-0 nodes and fresh leaves) and may later be reset to nil —
 // exactly once, monotonically — by the version pruner once the phase of
 // the update that created this node has fallen to the reclamation
-// horizon (see prune.go). Readers therefore load it atomically. Six
-// words: 48 B, the 48 B size class (pinned by TestNodeLayout).
-type node struct {
+// horizon (see prune.go). Readers therefore load it atomically. For the
+// set (V = struct{}) that is six words: 48 B, the 48 B size class (pinned
+// by TestNodeLayout). val must not be the last field: a trailing
+// zero-size field is padded, which would push the set's node to 56 B.
+type node[V any] struct {
 	key     int64
+	val     V
 	seqLeaf uint64 // bit 63 = leaf flag, low 63 bits = creation phase
 
-	prev        atomic.Pointer[node]
-	update      atomic.Pointer[descriptor]
-	left, right atomic.Pointer[node] // internal nodes only
+	prev        atomic.Pointer[node[V]]
+	update      atomic.Pointer[descriptor[V]]
+	left, right atomic.Pointer[node[V]] // internal nodes only
 }
 
 // seqNum returns the phase of the operation that created this node.
-func (n *node) seqNum() uint64 { return n.seqLeaf &^ leafBit }
+func (n *node[V]) seqNum() uint64 { return n.seqLeaf &^ leafBit }
 
 // isLeaf reports whether n is a leaf.
-func (n *node) isLeaf() bool { return n.seqLeaf&leafBit != 0 }
+func (n *node[V]) isLeaf() bool { return n.seqLeaf&leafBit != 0 }
 
 // packSeqLeaf packs a phase number and the leaf flag into one word.
 func packSeqLeaf(seq uint64, leaf bool) uint64 {
@@ -131,7 +135,7 @@ func packSeqLeaf(seq uint64, leaf bool) uint64 {
 // frozen reports whether a node whose update field holds d is frozen
 // (paper lines 89-91): flagged with an in-progress attempt, or marked by
 // an attempt that has not aborted (a committed mark is permanent).
-func frozen(d *descriptor) bool {
+func frozen[V any](d *descriptor[V]) bool {
 	s := d.info.state.Load()
 	if d.typ == flag {
 		return s == stateUndecided || s == stateTry
@@ -142,7 +146,7 @@ func frozen(d *descriptor) bool {
 
 // inProgress reports whether the attempt described by in has neither
 // committed nor aborted yet.
-func inProgress(in *info) bool {
+func inProgress[V any](in *info[V]) bool {
 	s := in.state.Load()
 	return s == stateUndecided || s == stateTry
 }

@@ -22,9 +22,9 @@ func TestFrozenTruthTable(t *testing.T) {
 		{mark, stateAbort, false},
 	}
 	for _, c := range cases {
-		in := &info{}
+		in := &info[struct{}]{}
 		in.state.Store(c.state)
-		d := &descriptor{typ: c.typ, info: in}
+		d := &descriptor[struct{}]{typ: c.typ, info: in}
 		if got := frozen(d); got != c.want {
 			t.Errorf("frozen(typ=%d, state=%d) = %v, want %v", c.typ, c.state, got, c.want)
 		}
@@ -40,8 +40,8 @@ func TestHandshakeAbortPath(t *testing.T) {
 	_ = gp
 	pup := p.update.Load()
 	in := tr.newInfo()
-	in.nodes = [maxFreeze]*node{p, l}
-	in.oldUpdate = [maxFreeze]*descriptor{pup, l.update.Load()}
+	in.nodes = [maxFreeze]*node[struct{}]{p, l}
+	in.oldUpdate = [maxFreeze]*descriptor[struct{}]{pup, l.update.Load()}
 	in.nn = 2
 	in.markMask = 1 << 1
 	in.par = p
@@ -94,8 +94,8 @@ func TestHelpIsIdempotent(t *testing.T) {
 		ni.right.Store(nl)
 	}
 	in := tr.newInfo()
-	in.nodes = [maxFreeze]*node{p, l}
-	in.oldUpdate = [maxFreeze]*descriptor{pupdate, l.update.Load()}
+	in.nodes = [maxFreeze]*node[struct{}]{p, l}
+	in.oldUpdate = [maxFreeze]*descriptor[struct{}]{pupdate, l.update.Load()}
 	in.nn = 2
 	in.markMask = 1 << 1
 	in.par = p
@@ -123,18 +123,18 @@ func TestHelpIsIdempotent(t *testing.T) {
 func TestExecuteRefusesFrozenOldUpdate(t *testing.T) {
 	tr := New()
 	tr.Insert(1)
-	inProg := &info{seq: tr.phase()}
+	inProg := &info[struct{}]{seq: tr.phase()}
 	inProg.state.Store(stateTry)
-	frozenDesc := &descriptor{typ: mark, info: inProg}
+	frozenDesc := &descriptor[struct{}]{typ: mark, info: inProg}
 	// mark+Try is frozen; Execute must bail out before creating an Info.
 	// (helping it will flip it to Abort via the empty nodes list? no —
 	// help would walk nodes; give it committed state instead to take the
 	// non-help branch.)
 	inProg.state.Store(stateCommit)
 	ok := tr.execute(
-		[maxFreeze]*node{tr.root},
-		[maxFreeze]*descriptor{frozenDesc},
-		1, 0, tr.root, tr.root.left.Load(), tr.newLeaf(2, 0), tr.phase(), true)
+		[maxFreeze]*node[struct{}]{tr.root},
+		[maxFreeze]*descriptor[struct{}]{frozenDesc},
+		1, 0, tr.root, tr.root.left.Load(), tr.newLeaf(2, 0), tr.phase(), 2)
 	if ok {
 		t.Fatal("execute succeeded with frozen oldUpdate")
 	}
@@ -174,7 +174,7 @@ func TestReadChildVersioning(t *testing.T) {
 // comparing the new child's key with the parent's.
 func TestCASChildDirection(t *testing.T) {
 	tr := New()
-	p := &node{key: 100}
+	p := &node[struct{}]{key: 100}
 	p.update.Store(tr.dummy)
 	oldL := tr.newLeaf(50, 0)
 	oldR := tr.newLeaf(150, 0)
@@ -261,9 +261,9 @@ func TestSequenceNumbersNeverExceedCounter(t *testing.T) {
 		}
 	}
 	ctr := tr.phase()
-	var walk func(n *node)
+	var walk func(n *node[struct{}])
 	var bad int
-	walk = func(n *node) {
+	walk = func(n *node[struct{}]) {
 		if n.seqNum() > ctr {
 			bad++
 		}

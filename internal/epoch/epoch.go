@@ -1,5 +1,5 @@
 // Package epoch provides the reader-registration table behind version
-// reclamation in the PNB-BST family (internal/core and internal/pnbmap):
+// reclamation in the PNB-BST (internal/core, for both set and map):
 // an epoch-style registry in which every long-lived reader (a running
 // range scan, a live snapshot) publishes a lower bound on the phase it
 // traverses, so a pruner can compute the reclamation horizon — the
