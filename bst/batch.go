@@ -20,26 +20,21 @@ type BatchOp = core.BatchOp
 // Contains: key is present) into res, which must be at least len(ops)
 // long.
 //
-// Batching amortizes the per-op fixed costs (pin-stripe acquisition and
-// phase-clock read) over the whole vector. Semantics match a loop of the
-// single-op calls, not a transaction: each op is individually
-// linearizable inside the ApplyBatch call, a later op observes an
-// earlier op's effect (read-your-writes within the batch), and the batch
-// as a whole is NOT atomic — concurrent operations and scans can
-// interleave between any two of its ops. See DESIGN.md §11.
-func (t *Tree) ApplyBatch(ops []BatchOp, res []bool) { t.t.ApplyOps(ops, res) }
-
-// ApplyBatch applies a vector of point operations with (*Tree).ApplyBatch
-// semantics — per-op linearizable, in slice order, NOT atomic — plus
-// shard-level amortization: the routing table is resolved once for the
-// whole vector and ops are grouped by destination shard. Groups landing
-// on a shard sealed by a concurrent Split/Merge re-route through the
+// Batching amortizes the per-op fixed costs over the whole vector: the
+// routing table is resolved once and ops are grouped by destination
+// shard, and each group holds one pin stripe and one cached phase read.
+// Semantics match a loop of the single-op calls, not a transaction: each
+// op is individually linearizable inside the ApplyBatch call, a later op
+// observes an earlier op's effect (read-your-writes within the batch),
+// and the batch as a whole is NOT atomic — concurrent operations and
+// scans can interleave between any two of its ops. Groups landing on a
+// shard sealed by a concurrent Split/Merge re-route through the
 // replacement table, exactly like single ops. See DESIGN.md §11.
 func (m *ShardedMap) ApplyBatch(ops []BatchOp, res []bool) { m.s.ApplyBatch(ops, res) }
 
 // ApplyBatchPhases is ApplyBatch that additionally records each op's
-// commit phase into phases (ignored when nil, else at least len(ops)
-// long); see (*ShardedMap).InsertPhase for what the phase means.
+// deciding phase into phases (ignored when nil, else at least len(ops)
+// long); see (*ShardedMap).ApplyPhase for what the phase means.
 func (m *ShardedMap) ApplyBatchPhases(ops []BatchOp, res []bool, phases []uint64) {
 	m.s.ApplyBatchPhases(ops, res, phases)
 }

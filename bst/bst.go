@@ -7,10 +7,13 @@
 // scale-out; the shards share one phase clock, so cross-shard scans and
 // snapshots are single atomic cuts — linearizable like the single tree
 // (DESIGN.md §5; RelaxedScans opts out). Map adds key-value bindings
-// with a Put-replace operation. Three baseline implementations of the Set interface are
-// provided for comparison and benchmarking: the NB-BST the tree is built
-// on, a lock-based tree, and a lock-free skip list (optionally with
-// snap-collector scans).
+// with a Put-replace operation. Tree's updates are Insert and Delete;
+// the vector, commit-phase and bulk-load update paths (ApplyBatch,
+// ApplyPhase, BulkLoad) are ShardedMap's, and NewSharded(1) is a single
+// tree that has them. Three baseline implementations of the Set
+// interface are provided for comparison and benchmarking: the NB-BST the
+// tree is built on, a lock-based tree, and a lock-free skip list
+// (optionally with snap-collector scans).
 //
 // Quickstart:
 //
@@ -95,7 +98,10 @@ type Set interface {
 
 // Tree is the paper's PNB-BST. It implements Set and additionally offers
 // wait-free Snapshot, allocation-free RangeScanFunc/RangeCount, and
-// instrumentation counters. All methods are safe for concurrent use.
+// instrumentation counters. Its only updates are Insert and Delete; a
+// caller that needs batches, commit phases or bulk loads (the server,
+// durability) uses a ShardedMap, with one shard for a single tree.
+// All methods are safe for concurrent use.
 type Tree struct {
 	t *core.Tree
 }
@@ -198,10 +204,6 @@ func (t *Tree) PoolingEnabled() bool { return t.t.PoolingEnabled() }
 // Stats returns the tree's instrumentation counters (retries, helps,
 // handshake aborts, phases opened, compaction progress, pool traffic).
 func (t *Tree) Stats() Stats { return t.t.Stats() }
-
-// ClockNow returns the tree's current phase. The bool mirrors
-// ShardedMap.ClockNow (a single tree always has a clock).
-func (t *Tree) ClockNow() (uint64, bool) { return t.t.Clock().Now(), true }
 
 // ResetStats zeroes the instrumentation counters.
 func (t *Tree) ResetStats() { t.t.ResetStats() }

@@ -144,16 +144,15 @@ func (m *ShardedMap) Delete(k int64) bool { return m.s.Delete(k) }
 // Contains reports whether k is present. Non-blocking.
 func (m *ShardedMap) Contains(k int64) bool { return m.s.Find(k) }
 
-// InsertPhase is Insert that additionally reports the phase the operation
-// committed at on the shared clock. Phases order updates against
-// checkpoint cuts, which is what the durability layer's WAL stamps
-// records with (internal/persist). On RelaxedScans maps the phase belongs
-// to the owning shard's private clock and is not comparable across
-// shards — such maps cannot be persisted.
-func (m *ShardedMap) InsertPhase(k int64) (res bool, phase uint64) { return m.s.InsertPhase(k) }
-
-// DeletePhase is Delete reporting the commit phase; see InsertPhase.
-func (m *ShardedMap) DeletePhase(k int64) (res bool, phase uint64) { return m.s.DeletePhase(k) }
+// ApplyPhase runs one point operation (Insert, Delete or Contains) and
+// reports its result and the phase it was decided at on the shared
+// clock; for an effective Insert or Delete that is the commit phase.
+// Phases order updates against checkpoint cuts, which is what the
+// durability layer's WAL stamps records with (internal/persist). On
+// RelaxedScans maps the phase belongs to the owning shard's private
+// clock and is not comparable across shards — such maps cannot be
+// persisted.
+func (m *ShardedMap) ApplyPhase(op BatchOp) (res bool, phase uint64) { return m.s.Apply(op) }
 
 // AdvanceClock raises the shared phase clock to at least p, reporting
 // whether the map has one (false on RelaxedScans maps). Durability

@@ -9,20 +9,23 @@
 //	bstserver -addr :7700 [-metrics :7701] [-impl sharded] [-shards 8] [-keys 1048576]
 //	bstserver -impl sharded -relaxed      # per-shard clocks: relaxed cross-shard scans
 //	bstserver -impl sharded -rebalance    # online load-driven splits/merges
-//	bstserver -impl pnbbst                # single tree, no sharding
+//	bstserver -impl sharded -shards 1     # one tree, no sharding
+//
+// Only sharded targets are servable: -impl pnbbst exits 2 and points at
+// -impl sharded -shards 1, which serves one tree with the MBATCH and
+// MLOAD paths a lone tree lacks.
 //
 // -keys declares the key interval [0, keys) the workload concentrates
-// on; sharded implementations split their shard boundaries over it (the
-// full int64 space stays storable either way). -compact runs periodic
-// version-memory pruning so a long-lived server's heap tracks the live
-// set, not the update count.
+// on; the shard boundaries split it (the full int64 space stays storable
+// either way). -compact runs periodic version-memory pruning so a
+// long-lived server's heap tracks the live set, not the update count.
 //
 // -persist DIR makes the served set durable (DESIGN.md §12): updates are
 // phase-stamped into a group-fsynced WAL before they are acknowledged,
 // -checkpoint-every streams periodic wait-free snapshot checkpoints that
 // truncate the log, and startup recovers newest-checkpoint + WAL-replay
-// before the listener opens. Persistence requires a sharded target with
-// the shared phase clock (-relaxed has no single cut to persist).
+// before the listener opens. Persistence requires the shared phase clock
+// (-relaxed has no single cut to persist).
 //
 // On SIGINT/SIGTERM the server drains gracefully: it stops accepting,
 // finishes in-flight and pipelined requests, flushes (and with -persist,
@@ -135,59 +138,49 @@ func buildStore(target *harness.TargetFlags, keys int64, compact time.Duration, 
 	if err != nil {
 		return "", nil, nil, nil, err
 	}
+	if name == harness.TargetPNBBST {
+		return "", nil, nil, nil, fmt.Errorf("-impl %s is not servable: a single tree has no MBATCH or MLOAD path; serve one shard with -impl sharded -shards 1", name)
+	}
+	n, ok := harness.ParseAnySharded(name)
+	if !ok {
+		return "", nil, nil, nil, fmt.Errorf("-impl %s is not servable (use a sharded target; the baselines have no linearizable scans to serve)", name)
+	}
 	var stops []func()
-	var store server.Store
 	var closer func() error
-	switch {
-	case name == harness.TargetPNBBST:
-		if persDir != "" {
-			return "", nil, nil, nil, fmt.Errorf("-persist requires a sharded target (the composite snapshot cut is what a checkpoint streams)")
+	var opts []bst.ShardedOption
+	if _, relaxed := harness.ParseShardedRelaxedTarget(name); relaxed {
+		opts = append(opts, bst.RelaxedScans())
+	}
+	m := bst.NewShardedRange(0, keys-1, n, opts...)
+	if _, auto := harness.ParseShardedAutoTarget(name); auto {
+		stop, err := m.StartAutoRebalance(bst.RebalanceConfig{})
+		if err != nil {
+			return "", nil, nil, nil, err
 		}
-		t := bst.New()
-		if compact > 0 {
-			stops = append(stops, t.StartAutoCompact(compact))
+		stops = append(stops, stop)
+	}
+	if compact > 0 {
+		stops = append(stops, m.StartAutoCompact(compact))
+	}
+	var store server.Store = m
+	if persDir != "" {
+		// Open's Logf reports the recovery image line on startup.
+		pm, _, err := persist.Open(persist.Config{
+			Dir:       persDir,
+			SyncEvery: walSync,
+			Logf: func(format string, args ...any) {
+				fmt.Fprintf(os.Stderr, format+"\n", args...)
+			},
+		}, m)
+		if err != nil {
+			return "", nil, nil, nil, fmt.Errorf("-persist %s: %w", persDir, err)
 		}
-		store = t
-	default:
-		n, ok := harness.ParseAnySharded(name)
-		if !ok {
-			return "", nil, nil, nil, fmt.Errorf("-impl %s is not servable (use pnbbst or a sharded target; the baselines have no linearizable scans to serve)", name)
+		if ckptIvl > 0 {
+			stops = append(stops, pm.StartAutoCheckpoint(ckptIvl))
 		}
-		var opts []bst.ShardedOption
-		if _, relaxed := harness.ParseShardedRelaxedTarget(name); relaxed {
-			opts = append(opts, bst.RelaxedScans())
-		}
-		m := bst.NewShardedRange(0, keys-1, n, opts...)
-		if _, auto := harness.ParseShardedAutoTarget(name); auto {
-			stop, err := m.StartAutoRebalance(bst.RebalanceConfig{})
-			if err != nil {
-				return "", nil, nil, nil, err
-			}
-			stops = append(stops, stop)
-		}
-		if compact > 0 {
-			stops = append(stops, m.StartAutoCompact(compact))
-		}
-		store = m
-		if persDir != "" {
-			// Open's Logf reports the recovery image line on startup.
-			pm, _, err := persist.Open(persist.Config{
-				Dir:       persDir,
-				SyncEvery: walSync,
-				Logf: func(format string, args ...any) {
-					fmt.Fprintf(os.Stderr, format+"\n", args...)
-				},
-			}, m)
-			if err != nil {
-				return "", nil, nil, nil, fmt.Errorf("-persist %s: %w", persDir, err)
-			}
-			if ckptIvl > 0 {
-				stops = append(stops, pm.StartAutoCheckpoint(ckptIvl))
-			}
-			store = pm
-			closer = pm.Close
-			name += "+persist"
-		}
+		store = pm
+		closer = pm.Close
+		name += "+persist"
 	}
 	return name, store, stops, closer, nil
 }

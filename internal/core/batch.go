@@ -1,12 +1,12 @@
 package core
 
-// Batch execution. The single-op entry points pay a fixed toll per call
-// — a pin-stripe acquisition, a phase-clock read, and (for composite
-// structures) a routing-table resolution upstream — that dominates once
-// the tree itself is fast. TryApplyOps hoists those costs out of the
-// loop: one pin for the whole vector, one cached phase read refreshed
+// Batch execution, and the one update loop. Every update pays a fixed
+// toll per call — a pin-stripe acquisition, a phase-clock read, and (for
+// composite structures) a routing-table resolution upstream — that
+// dominates once the tree itself is fast. TryApplyOps pays it once per
+// vector: one pin for the whole vector, one cached phase read refreshed
 // only when an attempt fails, the same per-attempt protocol otherwise
-// (DESIGN.md §11).
+// (DESIGN.md §11). A single Insert, Delete or Put is a batch of one.
 //
 // Semantics: each operation in the batch is INDIVIDUALLY linearizable,
 // with its linearization point inside the TryApplyOps call; operations
@@ -69,28 +69,38 @@ type BatchOp struct {
 // into res, which must be at least len(ops) long. See the file comment
 // for the batch semantics: per-op linearizable, in-order, NOT atomic.
 //
-// Like TryInsert/TryDelete it refuses sealed trees: applied counts the
+// It is the tree's only update entry that refuses sealed trees, and the
+// loop Insert, Delete and Put run as batches of one. applied counts the
 // ops that completed (res[:applied] is valid) and ok=false reports that
-// the tree was sealed before ops[applied] took effect — the caller
-// re-routes the remainder, exactly as with the single-op Try calls.
-// Every completed op's contract is the single-op one; none of the
-// remainder left any trace.
-func (t *Map[V]) TryApplyOps(ops []BatchOp, res []bool) (applied int, ok bool) {
-	return t.TryApplyOpsPhases(ops, res, nil)
+// the tree was sealed before ops[applied] took effect: the caller
+// re-resolves which tree owns the remainder and retries there. None of
+// the remainder left any trace, because every attempt re-checks the seal
+// after reading its phase, and an attempt that passed the check has a
+// phase <= the seal's cut (see Seal). So a committed op is part of the
+// migration snapshot and is counted in applied.
+//
+// phases, when non-nil (at least len(ops) long), receives each op's
+// deciding phase. For an effective Insert or Delete this is the EXACT
+// commit phase: help's handshake check aborts any attempt whose phase no
+// longer matches the clock, so a commit at seq proves the clock still
+// read seq at decision time. Durability stamps WAL records with it; a
+// checkpoint cut c then covers the update iff phase <= c, which is what
+// makes "replay records with phase > c" exact (internal/persist). For an
+// ineffective op it is the phase the outcome was observed at.
+func (t *Map[V]) TryApplyOps(ops []BatchOp, res []bool, phases []uint64) (applied int, ok bool) {
+	var zero V
+	return t.applyOps(ops, res, phases, zero, false)
 }
 
-// TryApplyOpsPhases is TryApplyOps that additionally records each op's
-// deciding phase into phases (ignored when nil, else at least len(ops)
-// long). For effective Insert/Delete ops this is the exact commit phase,
-// with TryInsertPhase's guarantee; durability stamps per-op WAL records
-// with it. Note the cached phase makes runs of phases non-decreasing but
-// individual ops still get the phase their own successful attempt used.
-func (t *Map[V]) TryApplyOpsPhases(ops []BatchOp, res []bool, phases []uint64) (applied int, ok bool) {
+// applyOps is the retry loop behind TryApplyOps. With replace set, a
+// BatchInsert binds its key to v and replaces a present key's value: Put
+// is a batch of one through here.
+func (t *Map[V]) applyOps(ops []BatchOp, res []bool, phases []uint64, v V, replace bool) (applied int, ok bool) {
 	if len(res) < len(ops) {
 		panic("core: TryApplyOps result slice shorter than ops")
 	}
 	if phases != nil && len(phases) < len(ops) {
-		panic("core: TryApplyOpsPhases phase slice shorter than ops")
+		panic("core: TryApplyOps phase slice shorter than ops")
 	}
 	for _, op := range ops {
 		checkKey(op.Key)
@@ -100,7 +110,6 @@ func (t *Map[V]) TryApplyOpsPhases(ops []BatchOp, res []bool, phases []uint64) (
 	}
 	s := t.pool.pins.enter(ops[0].Key)
 	defer t.pool.pins.exit(s)
-	var zero V
 	seq := t.clock.Now()
 	for i, op := range ops {
 		for {
@@ -111,7 +120,7 @@ func (t *Map[V]) TryApplyOpsPhases(ops []BatchOp, res []bool, phases []uint64) (
 			var st opOutcome
 			switch op.Kind {
 			case BatchInsert:
-				r, st = t.putOnce(op.Key, zero, seq, false)
+				r, st = t.putOnce(op.Key, v, seq, replace)
 			case BatchDelete:
 				r, st = t.deleteOnce(op.Key, seq)
 			default:
@@ -128,13 +137,4 @@ func (t *Map[V]) TryApplyOpsPhases(ops []BatchOp, res []bool, phases []uint64) (
 		}
 	}
 	return len(ops), true
-}
-
-// ApplyOps is TryApplyOps for standalone trees, where sealing is a
-// routing bug (only shard migrations seal): it panics like Insert/Delete
-// on a sealed tree instead of returning a remainder.
-func (t *Map[V]) ApplyOps(ops []BatchOp, res []bool) {
-	if _, ok := t.TryApplyOps(ops, res); !ok {
-		panic("core: ApplyOps on a sealed Tree (re-route the remainder and use TryApplyOps; see Seal)")
-	}
 }

@@ -9,6 +9,13 @@ import (
 	"repro/internal/lincheck"
 )
 
+// mustApply runs a batch that must complete (the tree is never sealed).
+func mustApply(t testing.TB, tr *Tree, ops []BatchOp, res []bool) {
+	if applied, ok := tr.TryApplyOps(ops, res, nil); !ok || applied != len(ops) {
+		t.Errorf("TryApplyOps applied %d of %d, ok=%v, on an unsealed tree", applied, len(ops), ok)
+	}
+}
+
 // TestApplyOpsOracle runs random batches against a map oracle: every
 // per-op result must match what a loop of single ops would return,
 // including read-your-writes between duplicate keys inside one batch.
@@ -23,7 +30,7 @@ func TestApplyOpsOracle(t *testing.T) {
 			ops[i] = BatchOp{Kind: BatchKind(rng.Intn(3)), Key: int64(rng.Intn(40))}
 		}
 		res := make([]bool, n)
-		tr.ApplyOps(ops, res)
+		mustApply(t, tr, ops, res)
 		for i, op := range ops {
 			var want bool
 			switch op.Kind {
@@ -61,11 +68,19 @@ func TestApplyOpsReadYourWrites(t *testing.T) {
 		{BatchDelete, 7},   // already gone
 	}
 	res := make([]bool, len(ops))
-	tr.ApplyOps(ops, res)
+	phases := make([]uint64, len(ops))
+	if applied, ok := tr.TryApplyOps(ops, res, phases); !ok || applied != len(ops) {
+		t.Fatalf("applied, ok = %d, %v", applied, ok)
+	}
 	want := []bool{false, true, true, false, true, false, false}
 	for i := range want {
 		if res[i] != want[i] {
 			t.Fatalf("res[%d] = %v, want %v (full: %v)", i, res[i], want[i], res)
+		}
+		// No phase opened during the batch, so every op decided at the
+		// clock's current phase.
+		if phases[i] != tr.Clock().Now() {
+			t.Fatalf("phases[%d] = %d, want the clock's %d", i, phases[i], tr.Clock().Now())
 		}
 	}
 }
@@ -80,7 +95,7 @@ func TestTryApplyOpsSealed(t *testing.T) {
 
 	ops := []BatchOp{{BatchContains, 1}, {BatchContains, 2}, {BatchInsert, 3}, {BatchContains, 1}}
 	res := make([]bool, len(ops))
-	applied, ok := tr.TryApplyOps(ops, res)
+	applied, ok := tr.TryApplyOps(ops, res, nil)
 	if ok || applied != 2 {
 		t.Fatalf("applied, ok = %d, %v; want 2, false", applied, ok)
 	}
@@ -92,17 +107,10 @@ func TestTryApplyOpsSealed(t *testing.T) {
 	}
 
 	// An all-reads batch completes even on a sealed tree.
-	applied, ok = tr.TryApplyOps([]BatchOp{{BatchContains, 1}}, res[:1])
+	applied, ok = tr.TryApplyOps([]BatchOp{{BatchContains, 1}}, res[:1], nil)
 	if !ok || applied != 1 || !res[0] {
 		t.Fatalf("reads on sealed tree: applied=%d ok=%v res=%v", applied, ok, res[0])
 	}
-
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ApplyOps on a sealed tree did not panic")
-		}
-	}()
-	tr.ApplyOps([]BatchOp{{BatchInsert, 9}}, res[:1])
 }
 
 // TestApplyOpsArgChecks: short result slices and reserved keys panic up
@@ -118,9 +126,10 @@ func TestApplyOpsArgChecks(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("short res", func() { tr.ApplyOps(make([]BatchOp, 3), make([]bool, 2)) })
+	mustPanic("short res", func() { tr.TryApplyOps(make([]BatchOp, 3), make([]bool, 2), nil) })
+	mustPanic("short phases", func() { tr.TryApplyOps(make([]BatchOp, 3), make([]bool, 3), make([]uint64, 2)) })
 	mustPanic("reserved key", func() {
-		tr.ApplyOps([]BatchOp{{BatchInsert, 1}, {BatchInsert, MaxKey + 1}}, make([]bool, 2))
+		tr.TryApplyOps([]BatchOp{{BatchInsert, 1}, {BatchInsert, MaxKey + 1}}, make([]bool, 2), nil)
 	})
 	if tr.Find(1) {
 		t.Fatal("op applied before argument validation finished")
@@ -159,7 +168,7 @@ func TestApplyOpsLincheck(t *testing.T) {
 						ops[i] = BatchOp{Kind: BatchKind(rng.Intn(3)), Key: int64(rng.Intn(3))}
 					}
 					inv := time.Now().UnixNano()
-					tr.ApplyOps(ops, res)
+					mustApply(t, tr, ops, res)
 					resTs := time.Now().UnixNano()
 					mu.Lock()
 					for i, op := range ops {

@@ -163,25 +163,26 @@ func TestBuildFromSnapshotIterator(t *testing.T) {
 	}
 }
 
-// TestSealStopsUpdates: Try ops fail on a sealed tree without side
-// effects, plain Insert/Delete panic naming the misuse, and reads remain
-// fully functional.
+// TestSealStopsUpdates: TryApplyOps refuses updates on a sealed tree
+// without side effects (applied=0, ok=false), plain Insert/Delete panic
+// naming the misuse, and reads remain fully functional.
 func TestSealStopsUpdates(t *testing.T) {
 	tr := New()
 	tr.Insert(1)
 	tr.Insert(2)
-	if res, ok := tr.TryInsert(3); !ok || !res {
-		t.Fatalf("TryInsert before seal = %v, %v", res, ok)
+	res := make([]bool, 1)
+	if applied, ok := tr.TryApplyOps([]BatchOp{{BatchInsert, 3}}, res, nil); !ok || applied != 1 || !res[0] {
+		t.Fatalf("TryApplyOps insert before seal = %d, %v, %v", applied, ok, res[0])
 	}
 	tr.Seal()
 	if !tr.Sealed() {
 		t.Fatal("Sealed() false after Seal")
 	}
-	if _, ok := tr.TryInsert(4); ok {
-		t.Fatal("TryInsert succeeded on a sealed tree")
+	if applied, ok := tr.TryApplyOps([]BatchOp{{BatchInsert, 4}}, res, nil); ok || applied != 0 {
+		t.Fatalf("TryApplyOps insert on a sealed tree = %d, %v; want 0, false", applied, ok)
 	}
-	if _, ok := tr.TryDelete(1); ok {
-		t.Fatal("TryDelete succeeded on a sealed tree")
+	if applied, ok := tr.TryApplyOps([]BatchOp{{BatchDelete, 1}}, res, nil); ok || applied != 0 {
+		t.Fatalf("TryApplyOps delete on a sealed tree = %d, %v; want 0, false", applied, ok)
 	}
 	if tr.Find(4) || !tr.Find(1) {
 		t.Fatal("sealed tree contents changed")
@@ -215,8 +216,8 @@ func TestSealCutExcludesLaterPhases(t *testing.T) {
 	cut := tr.Clock().Open()
 	snap := tr.SnapshotAt(cut, reg)
 	defer snap.Release()
-	if _, ok := tr.TryInsert(999); ok {
-		t.Fatal("post-seal TryInsert succeeded")
+	if applied, ok := tr.TryApplyOps([]BatchOp{{BatchInsert, 999}}, make([]bool, 1), nil); ok || applied != 0 {
+		t.Fatal("post-seal TryApplyOps insert succeeded")
 	}
 	got := snap.RangeScan(MinKey, MaxKey)
 	want := tr.Keys() // the sealed tree can never change again

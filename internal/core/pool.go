@@ -18,7 +18,7 @@ import (
 //     attempt marked, and no registered reader (phase >= H) can need them.
 //  2. Limbo: the marked nodes, plus the drained infos themselves, are
 //     collected into a limboBatch. Neither can be touched yet: an
-//     UNREGISTERED traversal (Find/Insert/Delete/ApplyOps, or a helper
+//     UNREGISTERED traversal (Find or TryApplyOps, or a helper
 //     inside one) may still hold pointers into the batch, read before the
 //     cut, may still issue CASes on those nodes, and may still be inside
 //     help reading a drained info's node references.
@@ -68,8 +68,8 @@ type pinStripe struct {
 }
 
 // pinTable is a striped count of in-flight traversals that may touch
-// limbo memory: Find, TryInsert, TryDelete and TryApplyOps (and the
-// helping they do) hold a pin for their full duration. Registered readers
+// limbo memory: Find and TryApplyOps (every update, and the helping it
+// does) hold a pin for their full duration. Registered readers
 // (scans, snapshots, ordered queries, iterators) pin only around their
 // rare help (helpIfPending); their traversals need no pin because the
 // horizon already protects them — a registered reader at phase s >= H

@@ -11,7 +11,7 @@ package core
 // The migration's order is: Seal() each tree being replaced, THEN open
 // the cut phase on the (shared) clock, then read the snapshot at the cut.
 // Updates cooperate by re-checking the seal on every attempt, AFTER
-// reading the attempt's phase (TryInsert/TryDelete):
+// reading the attempt's phase (TryApplyOps, the one update loop):
 //
 //	updater:    seq := clock.Now(); if sealed { bail } ; ... attempt at seq
 //	migration:  sealed.Store(true) ; cut := clock.Open()
@@ -30,11 +30,12 @@ package core
 // is the cut), which is exactly what in-flight readers holding the old
 // routing table expect.
 
-// Seal permanently retires the tree from updates: every TryInsert and
-// TryDelete that has not yet passed its per-attempt seal check fails with
-// ok=false, and every update that does commit has a phase at or below the
-// next phase opened on the tree's clock (see the ordering argument
-// above). Sealing is idempotent and irreversible; reads are unaffected.
+// Seal permanently retires the tree from updates: every TryApplyOps
+// update that has not yet passed its per-attempt seal check stops the
+// call with ok=false, and every update that does commit has a phase at
+// or below the next phase opened on the tree's clock (see the ordering
+// argument above). Sealing is idempotent and irreversible; reads are
+// unaffected.
 //
 // Callers (shard migration) must Seal BEFORE opening the snapshot-cut
 // phase on the clock the tree shares.

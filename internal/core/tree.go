@@ -275,70 +275,40 @@ func casChild[V any](parent, old, new *node[V]) {
 // Insert adds k to the set, returning false if k was already present
 // (paper lines 147-168). Non-blocking. Insert on a sealed tree is a
 // routing bug (the caller should have re-resolved the owning tree) and
-// panics; composite structures use TryInsert.
+// panics; composite structures call TryApplyOps, which reports the seal.
 func (t *Map[V]) Insert(k int64) bool {
-	res, ok := t.TryInsert(k)
-	if !ok {
-		panic("core: Insert on a sealed Tree (re-route the key and use TryInsert; see Seal)")
-	}
-	return res
-}
-
-// TryInsert is Insert that refuses sealed trees: ok=false reports that
-// the tree is sealed and the insert did NOT take effect; the caller must
-// re-resolve which tree owns k and retry there. When ok=false the
-// operation left no trace: no attempt of this call committed, because
-// every iteration re-checks the seal after reading its phase and any
-// iteration that proceeded past the check has phase <= the seal's cut
-// (see Seal) — so a committed attempt is part of the migration snapshot
-// and TryInsert reports ok=true for it.
-func (t *Map[V]) TryInsert(k int64) (res, ok bool) {
-	res, _, ok = t.TryInsertPhase(k)
-	return res, ok
-}
-
-// TryInsertPhase is TryInsert that additionally reports the phase the
-// deciding attempt ran at. For an effective insert (res=true) this is the
-// EXACT commit phase: the handshake check in help aborts any attempt whose
-// phase no longer matches the clock, so a commit at seq proves the clock
-// still read seq at decision time. Durability stamps WAL records with this
-// phase; a later checkpoint cut c therefore covers the update iff
-// phase <= c, which is what makes "replay records with phase > c" exact
-// (internal/persist). For res=false the phase is the one the duplicate
-// was observed at (the linearization phase of the failed insert).
-func (t *Map[V]) TryInsertPhase(k int64) (res bool, phase uint64, ok bool) {
 	var zero V
-	return t.tryPut(k, zero, false)
+	return t.applyOne(BatchInsert, k, zero, false)
+}
+
+// Delete removes k from the set, returning false if k was absent (paper
+// lines 169-195). Unlike NB-BST, the surviving sibling is *copied* (with
+// the current phase and prev = p) rather than re-linked, which keeps the
+// prev/child graph acyclic (paper §4.2). Non-blocking; panics on a sealed
+// tree, like Insert.
+func (t *Map[V]) Delete(k int64) bool {
+	var zero V
+	return t.applyOne(BatchDelete, k, zero, false)
 }
 
 // Put binds k to v, reporting whether it replaced an existing binding. An
 // absent key is inserted exactly as Insert does; a present key's leaf l is
 // swapped for a fresh leaf carrying v whose prev is l, so readers of
-// earlier phases still find the old value. Non-blocking. Put on a sealed
-// tree panics, like Insert.
+// earlier phases still find the old value. Non-blocking; panics on a
+// sealed tree, like Insert.
 func (t *Map[V]) Put(k int64, v V) (replaced bool) {
-	inserted, _, ok := t.tryPut(k, v, true)
-	if !ok {
-		panic("core: Put on a sealed Tree (re-route the key; see Seal)")
-	}
-	return !inserted
+	return !t.applyOne(BatchInsert, k, v, true)
 }
 
-// tryPut is the retry loop of TryInsertPhase (replace=false) and Put
-// (replace=true), with TryInsertPhase's seal and phase contract.
-func (t *Map[V]) tryPut(k int64, v V, replace bool) (inserted bool, phase uint64, ok bool) {
-	checkKey(k)
-	s := t.pool.pins.enter(k)
-	defer t.pool.pins.exit(s)
-	for {
-		seq := t.clock.Now()
-		if t.sealed.Load() {
-			return false, 0, false
-		}
-		if res, st := t.putOnce(k, v, seq, replace); st == opDone {
-			return res, seq, true
-		}
+// applyOne runs one update through applyOps as a batch of one on stack
+// arrays, panicking on a sealed tree.
+func (t *Map[V]) applyOne(kind BatchKind, k int64, v V, replace bool) bool {
+	ops := [1]BatchOp{{Kind: kind, Key: k}}
+	var res [1]bool
+	if _, ok := t.applyOps(ops[:], res[:], nil, v, replace); !ok {
+		panic("core: update on a sealed Tree (re-route the key and use TryApplyOps; see Seal)")
 	}
+	return res[0]
 }
 
 // putOnce is one attempt of Insert (paper lines 147-168) at phase seq,
@@ -398,47 +368,8 @@ func (t *Map[V]) putOnce(k int64, v V, seq uint64, replace bool) (inserted bool,
 	return false, opRetry
 }
 
-// Delete removes k from the set, returning false if k was absent (paper
-// lines 169-195). Unlike NB-BST, the surviving sibling is *copied* (with
-// the current phase and prev = p) rather than re-linked, which keeps the
-// prev/child graph acyclic (paper §4.2). Non-blocking. Delete on a sealed
-// tree panics, like Insert; composite structures use TryDelete.
-func (t *Map[V]) Delete(k int64) bool {
-	res, ok := t.TryDelete(k)
-	if !ok {
-		panic("core: Delete on a sealed Tree (re-route the key and use TryDelete; see Seal)")
-	}
-	return res
-}
-
-// TryDelete is Delete that refuses sealed trees, with exactly TryInsert's
-// contract: ok=false means the tree is sealed and the delete did not take
-// effect; ok=true results are part of the migration snapshot.
-func (t *Map[V]) TryDelete(k int64) (res, ok bool) {
-	res, _, ok = t.TryDeletePhase(k)
-	return res, ok
-}
-
-// TryDeletePhase is TryDelete reporting the deciding attempt's phase,
-// with exactly TryInsertPhase's contract: for res=true it is the exact
-// commit phase of the delete.
-func (t *Map[V]) TryDeletePhase(k int64) (res bool, phase uint64, ok bool) {
-	checkKey(k)
-	s := t.pool.pins.enter(k)
-	defer t.pool.pins.exit(s)
-	for {
-		seq := t.clock.Now()
-		if t.sealed.Load() {
-			return false, 0, false
-		}
-		if res, st := t.deleteOnce(k, seq); st == opDone {
-			return res, seq, true
-		}
-	}
-}
-
 // deleteOnce is one attempt of Delete at phase seq (paper lines 169-195);
-// insertOnce's note on stale phases applies unchanged.
+// putOnce's note on stale phases applies unchanged.
 func (t *Map[V]) deleteOnce(k int64, seq uint64) (res bool, st opOutcome) {
 	gp, p, l := t.search(k, seq)
 	if l == nil {

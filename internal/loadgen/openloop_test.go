@@ -229,6 +229,18 @@ func (s *stallStore) Len() int {
 	return s.m.Len()
 }
 
+func (s *stallStore) ApplyBatch(ops []bst.BatchOp, res []bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	s.m.ApplyBatch(ops, res)
+}
+
+func (s *stallStore) BulkLoad(keys []int64) (int, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.m.BulkLoad(keys)
+}
+
 // shutdown drains a test server.
 func shutdown(t *testing.T, s *server.Server) {
 	t.Helper()

@@ -164,20 +164,18 @@ func (p *Map) mustAppend(group []byte, maxPhase uint64) {
 
 // Insert adds k, reporting whether it was absent; effective inserts are
 // durable (per cfg.SyncEvery) before the call returns.
-func (p *Map) Insert(k int64) bool {
-	res, phase := p.m.InsertPhase(k)
-	if res {
-		p.mustAppend(appendPointRecord(nil, recInsert, k, phase), phase)
-	}
-	return res
-}
+func (p *Map) Insert(k int64) bool { return p.apply(bst.BatchInsert, recInsert, k) }
 
 // Delete removes k, reporting whether it was present; effective deletes
 // are durable before the call returns.
-func (p *Map) Delete(k int64) bool {
-	res, phase := p.m.DeletePhase(k)
+func (p *Map) Delete(k int64) bool { return p.apply(bst.BatchDelete, recDelete, k) }
+
+// apply runs one update and logs it, stamped with its commit phase, when
+// it took effect.
+func (p *Map) apply(kind bst.BatchKind, rec byte, k int64) bool {
+	res, phase := p.m.ApplyPhase(bst.BatchOp{Kind: kind, Key: k})
 	if res {
-		p.mustAppend(appendPointRecord(nil, recDelete, k, phase), phase)
+		p.mustAppend(appendPointRecord(nil, rec, k, phase), phase)
 	}
 	return res
 }

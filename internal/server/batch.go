@@ -9,26 +9,18 @@ import (
 	"repro/internal/wire"
 )
 
-// BatchStore is the optional Store upgrade MBATCH dispatches through:
-// one shard-grouped, amortized call for the whole vector instead of a
-// per-op loop. Stores without it are still served (the server falls back
-// to single ops), they just forgo the amortization.
+// BatchStore is the part of Store MBATCH dispatches through: one
+// shard-grouped, amortized call for the whole vector.
 type BatchStore interface {
 	ApplyBatch(ops []bst.BatchOp, res []bool)
 }
 
-// BulkLoader is the optional Store upgrade MLOAD dispatches through:
-// one migration-style cut building balanced replacement trees, instead
-// of per-key Inserts.
+// BulkLoader is the part of Store MLOAD dispatches through: one
+// migration-style cut building balanced replacement trees, instead of
+// per-key Inserts.
 type BulkLoader interface {
 	BulkLoad(keys []int64) (added int, err error)
 }
-
-var (
-	_ BatchStore = (*bst.ShardedMap)(nil)
-	_ BatchStore = (*bst.Tree)(nil)
-	_ BulkLoader = (*bst.ShardedMap)(nil)
-)
 
 // maxBulkKeys caps one MLOAD run's total key count (the run is chunked
 // on the wire but accumulated server-side before the build). 4M keys is
@@ -37,8 +29,8 @@ const maxBulkKeys = 1 << 22
 
 // serveMBatch serves one MBATCH request: every key is validated before
 // ANY op applies (a bad key rejects the whole batch with Err), then the
-// vector dispatches through BatchStore when the store has it, and the
-// per-op results go out as one BoolVec. Batch semantics are the store's:
+// vector dispatches through the store's ApplyBatch, and the per-op
+// results go out as one BoolVec. Batch semantics are the store's:
 // per-op linearizable, in order, not atomic.
 func (s *Server) serveMBatch(c *conn, enc *wire.Encoder, req wire.Request) {
 	for _, op := range req.Ops {
@@ -64,21 +56,7 @@ func (s *Server) serveMBatch(c *conn, enc *wire.Encoder, req wire.Request) {
 		}
 		bops[i] = bst.BatchOp{Kind: kind, Key: op.Key}
 	}
-	if bs, ok := s.cfg.Store.(BatchStore); ok {
-		bs.ApplyBatch(bops, bres)
-	} else {
-		st := s.cfg.Store
-		for i, op := range bops {
-			switch op.Kind {
-			case bst.BatchInsert:
-				bres[i] = st.Insert(op.Key)
-			case bst.BatchDelete:
-				bres[i] = st.Delete(op.Key)
-			default:
-				bres[i] = st.Contains(op.Key)
-			}
-		}
-	}
+	s.cfg.Store.ApplyBatch(bops, bres)
 	enc.BoolVec(bres) //nolint:errcheck // sticky; surfaces at flush
 }
 
@@ -144,29 +122,13 @@ func (s *Server) serveMLoad(c *conn, dec *wire.Decoder, enc *wire.Encoder, req w
 	}
 	if loadErr != nil {
 		enc.Error("MLOAD rejected, nothing applied: " + loadErr.Error()) //nolint:errcheck
-	} else if added, err := s.bulkLoad(c.load); err != nil {
+	} else if added, err := s.cfg.Store.BulkLoad(c.load); err != nil {
 		enc.Error("MLOAD failed: " + err.Error()) //nolint:errcheck
 	} else {
-		enc.Int(added) //nolint:errcheck
+		enc.Int(int64(added)) //nolint:errcheck
 	}
 	if cap(c.load) > 1<<16 {
 		c.load = nil // don't let one huge load pin staging memory forever
 	}
 	return true
-}
-
-// bulkLoad hands validated keys to the store's fast path, or falls back
-// to an Insert loop on stores without one.
-func (s *Server) bulkLoad(keys []int64) (int64, error) {
-	if bl, ok := s.cfg.Store.(BulkLoader); ok {
-		n, err := bl.BulkLoad(keys)
-		return int64(n), err
-	}
-	added := int64(0)
-	for _, k := range keys {
-		if s.cfg.Store.Insert(k) {
-			added++
-		}
-	}
-	return added, nil
 }

@@ -1,10 +1,8 @@
 package server
 
 import (
-	"context"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/bst"
 	"repro/internal/wire"
@@ -140,60 +138,6 @@ func TestMLoadRejectsBadOrder(t *testing.T) {
 		t.Fatalf("Insert after rejected load: %v, %v", ok, err)
 	}
 }
-
-// TestMLoadFallbackTree: a store without BulkLoad (bst.Tree) is served
-// through the Insert-loop fallback; same for MBATCH's BatchStore check
-// on a plain-Store wrapper.
-func TestMLoadFallbackTree(t *testing.T) {
-	tr := bst.New()
-	s, err := Start(Config{Addr: "127.0.0.1:0", Store: plainStore{t: tr}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		s.Shutdown(ctx) //nolint:errcheck
-	}()
-	c, err := wire.Dial(s.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	if added, err := c.BulkLoad([]int64{1, 2, 3}); err != nil || added != 3 {
-		t.Fatalf("fallback load: %d, %v", added, err)
-	}
-	res, err := c.MBatch([]wire.BatchEntry{
-		{Op: wire.OpContains, Key: 2},
-		{Op: wire.OpDelete, Key: 2},
-		{Op: wire.OpContains, Key: 2},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res[0] || !res[1] || res[2] {
-		t.Fatalf("fallback batch results: %v", res)
-	}
-	if tr.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", tr.Len())
-	}
-}
-
-// plainStore forwards only the Store interface (no ApplyBatch, no
-// BulkLoad) so the server must take its fallback paths.
-type plainStore struct{ t *bst.Tree }
-
-func (p plainStore) Insert(k int64) bool                              { return p.t.Insert(k) }
-func (p plainStore) Delete(k int64) bool                              { return p.t.Delete(k) }
-func (p plainStore) Contains(k int64) bool                            { return p.t.Contains(k) }
-func (p plainStore) RangeScanFunc(a, b int64, visit func(int64) bool) { p.t.RangeScanFunc(a, b, visit) }
-func (p plainStore) RangeCount(a, b int64) int                        { return p.t.RangeCount(a, b) }
-func (p plainStore) Min() (int64, bool)                               { return p.t.Min() }
-func (p plainStore) Max() (int64, bool)                               { return p.t.Max() }
-func (p plainStore) Succ(k int64) (int64, bool)                       { return p.t.Succ(k) }
-func (p plainStore) Pred(k int64) (int64, bool)                       { return p.t.Pred(k) }
-func (p plainStore) Len() int                                         { return p.t.Len() }
 
 // TestNonMLoadFrameMidRunClosesConn: interleaving another opcode inside
 // an MLOAD run is a protocol error that closes the connection.

@@ -84,10 +84,6 @@ func (s *Server) storeInfo() (shards []bst.ShardInfo, st *bst.Stats, splits, mer
 		grab(store.Underlying())
 		v := store.Stats()
 		ps = &v
-	case *bst.Tree:
-		v := store.Stats()
-		st = &v
-		clock, _ = store.ClockNow()
 	}
 	return shards, st, splits, merges, ps, clock
 }

@@ -1,6 +1,6 @@
 // Package server is the network serving layer over the PNB-BST: a TCP
 // server speaking the internal/wire protocol in front of a bst.ShardedMap
-// (or any Store). DESIGN.md §8 documents the architecture.
+// (or any Store, such as the durable persist.Map). DESIGN.md §8 documents the architecture.
 //
 // Each accepted connection gets one goroutine running a read–handle–
 // write loop over bufio-batched IO. Replies accumulate in the write
@@ -42,11 +42,13 @@ import (
 	"repro/internal/wire"
 )
 
-// Store is the operation surface the server fronts. bst.ShardedMap and
-// *bst.Tree both satisfy it. For the serving layer's headline guarantee
-// — remote SCANs observing one atomic cut — the store's RangeScanFunc
-// must itself be linearizable (true for both, unless the map was built
-// with bst.RelaxedScans, which E15 measures as the relaxed baseline).
+// Store is the operation surface the server fronts: point ops, ordered
+// queries, the MBATCH vector path (BatchStore) and the MLOAD bulk path
+// (BulkLoader). bst.ShardedMap and persist.Map satisfy it. For the
+// serving layer's headline guarantee — remote SCANs observing one atomic
+// cut — the store's RangeScanFunc must itself be linearizable (true for
+// both, unless the map was built with bst.RelaxedScans, which E15
+// measures as the relaxed baseline).
 type Store interface {
 	Insert(k int64) bool
 	Delete(k int64) bool
@@ -58,12 +60,11 @@ type Store interface {
 	Succ(k int64) (int64, bool)
 	Pred(k int64) (int64, bool)
 	Len() int
+	BatchStore
+	BulkLoader
 }
 
-var (
-	_ Store = (*bst.ShardedMap)(nil)
-	_ Store = (*bst.Tree)(nil)
-)
+var _ Store = (*bst.ShardedMap)(nil)
 
 // Config describes one server.
 type Config struct {

@@ -8,8 +8,4 @@ import (
 // (These assertions lived in persist's tests; they moved here when the
 // server grew its persist introspection import, which would otherwise
 // make them a test-only import cycle.)
-var (
-	_ Store      = (*persist.Map)(nil)
-	_ BatchStore = (*persist.Map)(nil)
-	_ BulkLoader = (*persist.Map)(nil)
-)
+var _ Store = (*persist.Map)(nil)

@@ -25,7 +25,7 @@ import (
 // subset of the batch's effects.
 //
 // Migrations are handled the way openPhase handles them for reads and
-// Insert/Delete do for updates: a group landing on a shard sealed by a
+// Apply does for single updates: a group landing on a shard sealed by a
 // concurrent Split/Merge fails its per-attempt seal check inside
 // TryApplyOps (no op ever commits above the migration cut — core.Seal),
 // and the unapplied remainder re-routes through the replacement table
@@ -37,7 +37,7 @@ func (s *Set) ApplyBatch(ops []core.BatchOp, res []bool) {
 
 // ApplyBatchPhases is ApplyBatch that additionally records each op's
 // deciding phase into phases (ignored when nil, else at least len(ops)
-// long), with core.TryApplyOpsPhases' contract: for effective
+// long), with core.Map.TryApplyOps' contract: for effective
 // Insert/Delete ops this is the exact commit phase. Durability stamps
 // the per-op records of an MBATCH with these.
 func (s *Set) ApplyBatchPhases(ops []core.BatchOp, res []bool, phases []uint64) {
@@ -101,7 +101,7 @@ func (s *Set) ApplyBatchPhases(ops []core.BatchOp, res []bool, phases []uint64) 
 			if gph != nil {
 				segPh = gph[:len(seg)]
 			}
-			applied, ok := tab.trees[g].TryApplyOpsPhases(gops[:len(seg)], gres[:len(seg)], segPh)
+			applied, ok := tab.trees[g].TryApplyOps(gops[:len(seg)], gres[:len(seg)], segPh)
 			for j := 0; j < applied; j++ {
 				res[seg[j]] = gres[j]
 				if gph != nil {

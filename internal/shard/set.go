@@ -174,64 +174,44 @@ func (s *Set) Generation() uint64 { return s.tab.Load().gen }
 func (s *Set) Relaxed() bool { return s.clock == nil }
 
 // Insert adds k, reporting whether it was absent. Linearizable and
-// non-blocking: it is a PNB-BST insert on the owning shard. If a
-// migration seals that shard mid-operation the insert re-routes through
-// the replacement table (yielding until the swap publishes it).
+// non-blocking: it is a PNB-BST insert on the owning shard, routed by
+// Apply.
 func (s *Set) Insert(k int64) bool {
-	for {
-		tab := s.tab.Load()
-		i := tab.r.Of(k)
-		if res, ok := tab.trees[i].TryInsert(k); ok {
-			tab.loads[i].add(k)
-			return res
-		}
-		runtime.Gosched() // owning shard mid-migration; wait for the swap
-	}
+	res, _ := s.Apply(core.BatchOp{Kind: core.BatchInsert, Key: k})
+	return res
 }
 
 // Delete removes k, reporting whether it was present. Linearizable and
-// non-blocking, re-routing across migrations like Insert.
+// non-blocking, routed by Apply.
 func (s *Set) Delete(k int64) bool {
-	for {
-		tab := s.tab.Load()
-		i := tab.r.Of(k)
-		if res, ok := tab.trees[i].TryDelete(k); ok {
-			tab.loads[i].add(k)
-			return res
-		}
-		runtime.Gosched()
-	}
+	res, _ := s.Apply(core.BatchOp{Kind: core.BatchDelete, Key: k})
+	return res
 }
 
-// InsertPhase is Insert that additionally reports the phase the deciding
-// attempt committed at (core.Tree.TryInsertPhase). With the shared clock
-// this phase is comparable across every shard and every migration cut,
-// which is what durability's WAL stamps records with (internal/persist).
-// On relaxed sets the phase belongs to the owning shard's private clock
-// and is NOT comparable across shards.
-func (s *Set) InsertPhase(k int64) (res bool, phase uint64) {
+// Apply runs one point operation on the shard owning its key and
+// reports its result and deciding phase (core.Map.TryApplyOps). For an
+// effective Insert or Delete the phase is the exact commit phase; with
+// the shared clock it is comparable across every shard and every
+// migration cut, which is what durability's WAL stamps records with
+// (internal/persist). On relaxed sets the phase belongs to the owning
+// shard's private clock and is NOT comparable across shards. If a
+// migration seals the owning shard mid-operation, the op re-routes
+// through the replacement table, yielding until the swap publishes it.
+//
+// The op runs as a batch of one on stack arrays, so it allocates
+// nothing beyond the tree's own attempt.
+func (s *Set) Apply(op core.BatchOp) (res bool, phase uint64) {
+	ops := [1]core.BatchOp{op}
+	var r [1]bool
+	var ph [1]uint64
 	for {
 		tab := s.tab.Load()
-		i := tab.r.Of(k)
-		if res, phase, ok := tab.trees[i].TryInsertPhase(k); ok {
-			tab.loads[i].add(k)
-			return res, phase
+		i := tab.r.Of(op.Key)
+		if _, ok := tab.trees[i].TryApplyOps(ops[:], r[:], ph[:]); ok {
+			tab.loads[i].add(op.Key)
+			return r[0], ph[0]
 		}
-		runtime.Gosched()
-	}
-}
-
-// DeletePhase is Delete reporting the deciding attempt's commit phase,
-// with InsertPhase's contract.
-func (s *Set) DeletePhase(k int64) (res bool, phase uint64) {
-	for {
-		tab := s.tab.Load()
-		i := tab.r.Of(k)
-		if res, phase, ok := tab.trees[i].TryDeletePhase(k); ok {
-			tab.loads[i].add(k)
-			return res, phase
-		}
-		runtime.Gosched()
+		runtime.Gosched() // owning shard mid-migration; wait for the swap
 	}
 }
 
