@@ -50,14 +50,13 @@ func (m *ShardedMap) ApplyBatchPhases(ops []BatchOp, res []bool, phases []uint64
 //
 // Readers stay wait-free throughout and concurrent updates re-route,
 // exactly as during a Split or Merge; the load serializes with
-// migrations. On RelaxedScans maps (no shared clock, so no migration
-// cut) it degrades to an Insert loop with the same result.
+// migrations.
 func (m *ShardedMap) BulkLoad(keys []int64) (added int, err error) { return m.s.BulkLoad(keys) }
 
 // BulkLoadPhase is BulkLoad that additionally reports the migration cut
 // phase the load was linearized at: reads at phases > cut observe every
 // loaded key. Durability logs a bulk load as one WAL record stamped with
-// this phase. Fails on RelaxedScans maps, which have no single cut.
+// this phase.
 func (m *ShardedMap) BulkLoadPhase(keys []int64) (added int, cut uint64, err error) {
 	return m.s.BulkLoadPhase(keys)
 }

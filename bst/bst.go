@@ -6,7 +6,7 @@
 // the keyspace across several PNB-BSTs by fixed range boundaries for
 // scale-out; the shards share one phase clock, so cross-shard scans and
 // snapshots are single atomic cuts — linearizable like the single tree
-// (DESIGN.md §5; RelaxedScans opts out). Map adds key-value bindings
+// (DESIGN.md §5). Map adds key-value bindings
 // with a Put-replace operation. Tree's updates are Insert and Delete;
 // the vector, commit-phase and bulk-load update paths (ApplyBatch,
 // ApplyPhase, BulkLoad) are ShardedMap's, and NewSharded(1) is a single

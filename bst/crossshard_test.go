@@ -18,7 +18,7 @@ import (
 // move is forced deterministically from inside the scan's visitor (which
 // runs between the per-shard cuts), so before the shared phase clock
 // this test failed on every run; the anomalous interleaving it pins is
-// reproduced — also deterministically — by TestShardedRelaxedMoveAnomaly
+// reproduced — also deterministically — by TestShardedStitchedMoveAnomaly
 // below.
 func TestShardedMoveAtomicCut(t *testing.T) {
 	// Boundary at 512: sentinel 10 drives the visitor; the item moves
@@ -42,16 +42,15 @@ func TestShardedMoveAtomicCut(t *testing.T) {
 	}
 }
 
-// TestShardedRelaxedMoveAnomaly pins what RelaxedScans (and every
-// ShardedMap before the shared clock) does on the same schedule: the
-// delete is invisible to the already-cut shard, the insert visible to
-// the not-yet-cut one, so the scan reports the item in BOTH places —
-// a set no instant ever held, rejected by the scan-aware checker.
-func TestShardedRelaxedMoveAnomaly(t *testing.T) {
-	m := bst.NewShardedRange(0, 1023, 2, bst.RelaxedScans())
-	if !m.Relaxed() {
-		t.Fatal("RelaxedScans option not applied")
-	}
+// TestShardedStitchedMoveAnomaly pins what a stitched scan — one
+// RangeScanFunc per shard, each cut at its own phase, as every
+// ShardedMap scanned before the shared clock — does on the same
+// schedule: the delete is invisible to the already-cut shard, the
+// insert visible to the not-yet-cut one, so the scan reports the item
+// in BOTH places — a set no instant ever held, rejected by the
+// scan-aware checker.
+func TestShardedStitchedMoveAnomaly(t *testing.T) {
+	m := bst.NewShardedRange(0, 1023, 2)
 	var points []lincheck.Event
 	record := func(kind lincheck.OpKind, k int64, f func() bool) {
 		inv := time.Now().UnixNano()
@@ -65,7 +64,7 @@ func TestShardedRelaxedMoveAnomaly(t *testing.T) {
 	moved := false
 	start := time.Now().UnixNano()
 	var got []int64
-	m.RangeScanFunc(0, 1023, func(k int64) bool {
+	visit := func(k int64) bool {
 		if !moved {
 			moved = true
 			// The delete completes before the insert begins, so no
@@ -75,15 +74,19 @@ func TestShardedRelaxedMoveAnomaly(t *testing.T) {
 		}
 		got = append(got, k)
 		return true
-	})
+	}
+	for i := m.ShardOf(0); i <= m.ShardOf(1023); i++ {
+		lo, hi := m.ShardBounds(i)
+		m.RangeScanFunc(max(lo, 0), min(hi, 1023), visit)
+	}
 	if len(got) != 3 {
-		t.Fatalf("relaxed mid-move scan = %v, want the anomalous [10 400 600]", got)
+		t.Fatalf("stitched mid-move scan = %v, want the anomalous [10 400 600]", got)
 	}
 	// Encoded as a history, the observation is non-linearizable: 400 and
 	// 600 were never both present (checked against the seqset oracle).
 	scan := lincheck.ScanEvent{A: 0, B: 1023, Keys: got, Inv: start, Res: time.Now().UnixNano()}
 	if err := lincheck.CheckWithScans(points, []lincheck.ScanEvent{scan}); err == nil {
-		t.Fatal("scan-aware checker accepted the relaxed both-places anomaly")
+		t.Fatal("scan-aware checker accepted the stitched both-places anomaly")
 	}
 }
 

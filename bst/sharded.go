@@ -20,35 +20,17 @@ import (
 // and root from the path of unrelated keys, so disjoint-key workloads
 // scale with P.
 //
-// RangeScan and Snapshot are wait-free and — by default — LINEARIZABLE
-// across shards: all P trees share one phase clock, so a multi-shard
-// scan or snapshot opens a single phase and takes every shard's
-// wait-free cut at that same phase, one atomic cut of the whole map,
-// linearized at the clock increment exactly like the paper's single-tree
-// scan (DESIGN.md §5.2). The per-shard results concatenate in key order
+// RangeScan and Snapshot are wait-free and LINEARIZABLE across shards:
+// all P trees share one phase clock, so a multi-shard scan or snapshot
+// opens a single phase and takes every shard's wait-free cut at that
+// same phase, one atomic cut of the whole map, linearized at the clock
+// increment exactly like the paper's single-tree scan (DESIGN.md §5.2). The per-shard results concatenate in key order
 // (shards hold disjoint ordered ranges), so no merging is needed.
-//
-// The RelaxedScans option restores fully independent per-shard phase
-// clocks: scans in one shard then never handshake with updates in
-// another, but a multi-shard scan degrades to a stitch of per-shard cuts
-// taken at successive instants — serializable, not linearizable.
-// Experiment E13 measures what the default atomicity costs against this
-// relaxed mode.
 //
 // ShardedMap implements Set. All methods are safe for concurrent use.
 type ShardedMap struct {
 	s *shard.Set
 }
-
-// ShardedOption configures a ShardedMap at construction.
-type ShardedOption = shard.Option
-
-// RelaxedScans opts a ShardedMap out of the shared phase clock: each
-// shard keeps a private clock, multi-shard scans and snapshots become
-// stitches of per-shard atomic cuts taken at successive instants
-// (serializable, not linearizable — see the type comment), and in
-// exchange scans never force handshake aborts outside their own shard.
-func RelaxedScans() ShardedOption { return shard.WithRelaxedScans() }
 
 // ShardedSnapshot is a frozen composite of per-shard snapshots; see
 // (*ShardedMap).Snapshot.
@@ -58,27 +40,22 @@ type ShardedSnapshot = shard.Snapshot
 // the documented defaults. See shard.RebalanceConfig.
 type RebalanceConfig = shard.RebalanceConfig
 
-// Rebalancing errors, re-exported for errors.Is.
-var (
-	// ErrRelaxedRebalance: rebalancing needs the shared phase clock, which
-	// RelaxedScans removes.
-	ErrRelaxedRebalance = shard.ErrRelaxedRebalance
-	// ErrSplitTooSmall: the shard holds fewer than two keys.
-	ErrSplitTooSmall = shard.ErrSplitTooSmall
-)
+// ErrSplitTooSmall reports a Split of a shard holding fewer than two
+// keys; re-exported for errors.Is.
+var ErrSplitTooSmall = shard.ErrSplitTooSmall
 
 // NewSharded returns an empty map of p shards whose boundaries split the
 // full key space [MinKey, MaxKey] evenly.
-func NewSharded(p int, opts ...ShardedOption) *ShardedMap {
-	return &ShardedMap{s: shard.New(p, opts...)}
+func NewSharded(p int) *ShardedMap {
+	return &ShardedMap{s: shard.New(p)}
 }
 
 // NewShardedRange returns an empty map of p shards whose boundaries
 // split [lo, hi] evenly; the edge shards absorb the rest of the key
 // space. Use this when the workload concentrates on a known interval so
 // that all p shards share its load.
-func NewShardedRange(lo, hi int64, p int, opts ...ShardedOption) *ShardedMap {
-	return &ShardedMap{s: shard.NewRange(lo, hi, p, opts...)}
+func NewShardedRange(lo, hi int64, p int) *ShardedMap {
+	return &ShardedMap{s: shard.NewRange(lo, hi, p)}
 }
 
 // Shards returns the current shard count; it changes over time on a map
@@ -89,7 +66,7 @@ func (m *ShardedMap) Shards() int { return m.s.Shards() }
 // atomically at one phase of the shared clock: no operation — not even
 // a scan already in flight across the boundary — can observe a torn
 // state (DESIGN.md §7). Fails with ErrSplitTooSmall on shards holding
-// fewer than two keys and ErrRelaxedRebalance on RelaxedScans maps.
+// fewer than two keys.
 func (m *ShardedMap) Split(i int) error { return m.s.Split(i) }
 
 // Merge fuses shards i and i+1 into one, with Split's atomicity.
@@ -99,9 +76,8 @@ func (m *ShardedMap) Merge(i int) error { return m.s.Merge(i) }
 // goroutine: every cfg.Interval it samples per-shard load and splits the
 // hottest shard or merges the coldest adjacent pair when the imbalance
 // crosses cfg's thresholds. It returns a stop function (idempotent;
-// returns after the rebalancer has fully quiesced) and fails with
-// ErrRelaxedRebalance on RelaxedScans maps.
-func (m *ShardedMap) StartAutoRebalance(cfg RebalanceConfig) (stop func(), err error) {
+// returns after the rebalancer has fully quiesced).
+func (m *ShardedMap) StartAutoRebalance(cfg RebalanceConfig) (stop func()) {
 	return m.s.AutoRebalance(cfg)
 }
 
@@ -122,12 +98,11 @@ type ShardInfo = shard.ShardInfo
 // these as per-shard Prometheus gauges.
 func (m *ShardedMap) ShardInfos() []ShardInfo { return m.s.ShardInfos() }
 
-// ClockNow returns the current phase of the shared clock (false for a
-// relaxed map, which has no shared clock).
-func (m *ShardedMap) ClockNow() (uint64, bool) { return m.s.ClockNow() }
-
-// Relaxed reports whether the map was built with RelaxedScans.
-func (m *ShardedMap) Relaxed() bool { return m.s.Relaxed() }
+// ClockNow returns the current phase of the shared clock. ok is always
+// true: every ShardedMap has the clock. The pair stays because code
+// outside this module names the signature (the benchmark's traced store
+// interface, bench/trace.go).
+func (m *ShardedMap) ClockNow() (phase uint64, ok bool) { return m.s.ClockNow(), true }
 
 // ShardOf returns the index of the shard owning key k.
 func (m *ShardedMap) ShardOf(k int64) int { return m.s.Router().Of(k) }
@@ -148,21 +123,16 @@ func (m *ShardedMap) Contains(k int64) bool { return m.s.Find(k) }
 // reports its result and the phase it was decided at on the shared
 // clock; for an effective Insert or Delete that is the commit phase.
 // Phases order updates against checkpoint cuts, which is what the
-// durability layer's WAL stamps records with (internal/persist). On
-// RelaxedScans maps the phase belongs to the owning shard's private
-// clock and is not comparable across shards — such maps cannot be
-// persisted.
+// durability layer's WAL stamps records with (internal/persist).
 func (m *ShardedMap) ApplyPhase(op BatchOp) (res bool, phase uint64) { return m.s.Apply(op) }
 
-// AdvanceClock raises the shared phase clock to at least p, reporting
-// whether the map has one (false on RelaxedScans maps). Durability
+// AdvanceClock raises the shared phase clock to at least p. Durability
 // recovery calls this before serving so that post-recovery commit phases
 // exceed every phase the previous process persisted.
-func (m *ShardedMap) AdvanceClock(p uint64) bool { return m.s.AdvanceClock(p) }
+func (m *ShardedMap) AdvanceClock(p uint64) { m.s.AdvanceClock(p) }
 
-// RangeScan returns the keys in [a, b], ascending. Wait-free and, by
-// default, one atomic cut across all covered shards (see the type
-// comment).
+// RangeScan returns the keys in [a, b], ascending. Wait-free and one
+// atomic cut across all covered shards (see the type comment).
 func (m *ShardedMap) RangeScan(a, b int64) []int64 { return m.s.RangeScan(a, b) }
 
 // RangeScanFunc streams the keys in [a, b] in ascending order to visit
@@ -194,12 +164,11 @@ func (m *ShardedMap) Succ(k int64) (int64, bool) { return m.s.Succ(k) }
 // Pred returns the largest key <= k, if any.
 func (m *ShardedMap) Pred(k int64) (int64, bool) { return m.s.Pred(k) }
 
-// Snapshot returns a frozen composite view of all shards. By default
-// (shared clock) the composite is ONE atomic cut: every shard's
-// wait-free snapshot captures the same phase. Reads of the result are
-// stable and wait-free; call Release when done reading (reading after
-// Release is a bug, detected at the call site). See the type comment
-// for the RelaxedScans semantics.
+// Snapshot returns a frozen composite view of all shards: ONE atomic
+// cut, every shard's wait-free snapshot capturing the same phase of the
+// shared clock. Reads of the result are stable and wait-free; call
+// Release when done reading (reading after Release is a bug, detected at
+// the call site).
 func (m *ShardedMap) Snapshot() *ShardedSnapshot { return m.s.Snapshot() }
 
 // Compact prunes every shard's version memory to that shard's own

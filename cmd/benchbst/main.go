@@ -8,12 +8,11 @@
 //	benchbst -list
 //	benchbst -experiment E1 [-duration 2s] [-threads 8] [-csv]
 //	benchbst -experiment E12            # memory under churn, pruning on/off
-//	benchbst -experiment E13            # atomic vs relaxed cross-shard scans
+//	benchbst -experiment E13            # atomic cross-shard scans vs a stitched scan
 //	benchbst -experiment E14            # online shard rebalancing under zipf skew
 //	benchbst -experiment E15            # network serving layer over real TCP
 //	benchbst -all -quick
 //	benchbst -impl sharded -shards 16 [-keys 1048576] [-insert 25 -delete 25 -scan 10 -scanwidth 100]
-//	benchbst -impl sharded -shards 16 -relaxed     # per-shard clocks (§5.2 relaxed scans)
 //	benchbst -impl sharded -shards 8 -rebalance [-zipf 1.2]   # online splits/merges under load
 //
 // With -all every experiment runs in order. -quick shrinks key ranges
@@ -22,15 +21,13 @@
 //
 // With -impl a single harness run is executed against the named
 // implementation (any harness target: pnbbst, nbbst, lockbst, skiplist,
-// snapcollector, sharded, sharded-relaxed, sharded-auto). The
-// -impl/-shards/-relaxed/-rebalance/-zipf cluster and its resolution
-// rules are shared with cmd/stress and cmd/bstserver
-// (harness.TargetFlags): -shards selects the shard count of a sharded
-// family, -relaxed switches to per-shard phase clocks (relaxed
-// cross-shard scans), -rebalance runs a background load-driven
-// rebalancer (the two are mutually exclusive), and -zipf draws point-op
-// keys from a clustered zipfian distribution with the given skew — the
-// spatially concentrated workload rebalancing exists for.
+// snapcollector, sharded, sharded-auto). The -impl/-shards/-rebalance/
+// -zipf cluster and its resolution rules are shared with cmd/stress and
+// cmd/bstserver (harness.TargetFlags): -shards selects the shard count
+// of a sharded family, -rebalance runs a background load-driven
+// rebalancer, and -zipf draws point-op keys from a clustered zipfian
+// distribution with the given skew — the spatially concentrated
+// workload rebalancing exists for.
 package main
 
 import (

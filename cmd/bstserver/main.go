@@ -7,7 +7,6 @@
 // Usage:
 //
 //	bstserver -addr :7700 [-metrics :7701] [-impl sharded] [-shards 8] [-keys 1048576]
-//	bstserver -impl sharded -relaxed      # per-shard clocks: relaxed cross-shard scans
 //	bstserver -impl sharded -rebalance    # online load-driven splits/merges
 //	bstserver -impl sharded -shards 1     # one tree, no sharding
 //
@@ -24,8 +23,7 @@
 // phase-stamped into a group-fsynced WAL before they are acknowledged,
 // -checkpoint-every streams periodic wait-free snapshot checkpoints that
 // truncate the log, and startup recovers newest-checkpoint + WAL-replay
-// before the listener opens. Persistence requires the shared phase clock
-// (-relaxed has no single cut to persist).
+// before the listener opens.
 //
 // On SIGINT/SIGTERM the server drains gracefully: it stops accepting,
 // finishes in-flight and pipelined requests, flushes (and with -persist,
@@ -147,17 +145,9 @@ func buildStore(target *harness.TargetFlags, keys int64, compact time.Duration, 
 	}
 	var stops []func()
 	var closer func() error
-	var opts []bst.ShardedOption
-	if _, relaxed := harness.ParseShardedRelaxedTarget(name); relaxed {
-		opts = append(opts, bst.RelaxedScans())
-	}
-	m := bst.NewShardedRange(0, keys-1, n, opts...)
+	m := bst.NewShardedRange(0, keys-1, n)
 	if _, auto := harness.ParseShardedAutoTarget(name); auto {
-		stop, err := m.StartAutoRebalance(bst.RebalanceConfig{})
-		if err != nil {
-			return "", nil, nil, nil, err
-		}
-		stops = append(stops, stop)
+		stops = append(stops, m.StartAutoRebalance(bst.RebalanceConfig{}))
 	}
 	if compact > 0 {
 		stops = append(stops, m.StartAutoCompact(compact))

@@ -9,7 +9,7 @@
 //
 // Usage:
 //
-//	stress [-impl pnbbst|sharded[<N>]] [-shards 8] [-relaxed] [-duration 30s] [-threads N] [-keys 4096]
+//	stress [-impl pnbbst|sharded[<N>]] [-shards 8] [-duration 30s] [-threads N] [-keys 4096]
 //	       [-seed 1] [-compact] [-rebalance] [-zipf 1.2] [-mem 1s]
 //	stress -soak [-duration 30s] [-conns 4] [-keys 16384] [-shards 8] [-rate 50000] [-zipf 1.2] [-seed 1]
 //	       [-persist DIR] [-checkpoint-every 1s]
@@ -27,7 +27,7 @@
 // complete, and the exit status still reflects them. Exit 0 iff every
 // invariant held (SoakReport.Ok).
 //
-// The -impl/-shards/-relaxed/-rebalance/-zipf cluster is the shared
+// The -impl/-shards/-rebalance/-zipf cluster is the shared
 // harness.TargetFlags wiring (same spellings and validation as
 // cmd/benchbst and cmd/bstserver); stress additionally restricts -impl
 // to the PNB-BST family, since the baselines lack the scan/snapshot
@@ -264,11 +264,7 @@ func makeTarget(name string, keyRange int64) (set, func() snapView, *shard.Set, 
 	if !ok {
 		return nil, nil, nil, fmt.Errorf("stress: -impl %q unsupported (have pnbbst and the sharded family; the baselines lack checkable scans)", name)
 	}
-	var opts []shard.Option
-	if _, relaxed := harness.ParseShardedRelaxedTarget(name); relaxed {
-		opts = append(opts, shard.WithRelaxedScans())
-	}
-	s := shard.NewRange(0, keyRange-1, n, opts...)
+	s := shard.NewRange(0, keyRange-1, n)
 	return s, func() snapView { return s.Snapshot() }, s, nil
 }
 
@@ -381,11 +377,7 @@ func round(name string, d time.Duration, threads int, keyRange int64, seed uint6
 	// It is stopped (and fully quiesced) before the post-round checks.
 	var stopRb func()
 	if rebalance {
-		var err error
-		stopRb, err = shardSet.AutoRebalance(shard.RebalanceConfig{Interval: 10 * time.Millisecond})
-		if err != nil {
-			return err
-		}
+		stopRb = shardSet.AutoRebalance(shard.RebalanceConfig{Interval: 10 * time.Millisecond})
 	}
 	// Memory reporter: HeapAlloc/HeapObjects alongside the op counters so
 	// long adversarial runs surface version leaks as they happen.

@@ -95,7 +95,7 @@ func All() []Experiment {
 		{"E10", "Snapshot + full iteration vs size (Fig. E10)", E10Snapshot},
 		{"E11", "Sharded front end vs single tree (Fig. E11)", E11Sharding},
 		{"E12", "Memory under churn: pruning on/off vs baselines (Table E12)", E12Memory},
-		{"E13", "Atomic vs relaxed cross-shard scans: cost and anomalies (E13)", E13Atomicity},
+		{"E13", "Atomic cross-shard scans: cost, and the anomalies of a stitched scan (E13)", E13Atomicity},
 		{"E14", "Online shard rebalancing under zipf skew (E14)", E14Rebalance},
 		{"E15", "Network serving layer: pipelined TCP throughput and wire-level scan atomicity (E15)", E15Serving},
 		{"E16", "Open-loop load: latency vs offered rate, honest tails (E16)", E16OpenLoop},

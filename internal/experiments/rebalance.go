@@ -82,10 +82,7 @@ func traceRebalance(o Options, keys int64, skew float64) {
 			inserted++
 		}
 	}
-	stop, err := s.AutoRebalance(shard.RebalanceConfig{})
-	if err != nil {
-		panic(err) // unreachable: the set is not relaxed
-	}
+	stop := s.AutoRebalance(shard.RebalanceConfig{})
 	defer stop()
 
 	done := make(chan struct{})

@@ -21,9 +21,8 @@ import (
 // Part 1 (throughput/latency): a real bstserver-equivalent
 // (internal/server over bst.ShardedMap, loopback TCP) is driven by the
 // closed-loop generator with an update-heavy mix plus shard-spanning
-// scans, swept over client connections × pipeline depth, in both scan
-// modes (shared clock vs relaxed per-shard clocks). Pipelining is the
-// serving layer's batching lever: depth 1 measures per-request RTT,
+// scans, swept over client connections × pipeline depth. Pipelining is
+// the serving layer's batching lever: depth 1 measures per-request RTT,
 // deeper pipelines amortize syscalls until the store itself saturates.
 //
 // Part 2 (atomicity over the wire): the §5.2 cross-boundary-move
@@ -36,25 +35,19 @@ import (
 // from an already-streamed shard to a not-yet-streamed one and gets its
 // acks before the scanner resumes. With the shared clock the whole scan
 // was cut at one phase opened before the move, so the move is invisible
-// (torn = 0, every trial); with relaxed scans the destination shard's
-// cut is taken only when the stream resumes — after the move — so the
-// scan observes BOTH the source and destination copies, a state the
-// sequential oracle never admits (torn = every trial, deterministic).
+// (torn = 0, every trial); a stitched scan (one cut per shard, see
+// stitchedScan) cuts the destination shard only when the stream
+// resumes — after the move — so it observes BOTH the source and
+// destination copies, a state the sequential oracle never admits
+// (torn = every trial, deterministic).
 func E15Serving(o Options) {
 	keys := o.scale(1 << 18)
 	pipelines := []int{1, 16, 64}
 	const shards = 8
 	mix := workload.Mix{InsertPct: 45, DeletePct: 45, ScanPct: 10, ScanWidth: keys / shards}
 
-	for _, mode := range []struct {
-		name    string
-		relaxed bool
-	}{{"atomic (shared clock)", false}, {"relaxed (per-shard clocks)", true}} {
-		var opts []bst.ShardedOption
-		if mode.relaxed {
-			opts = append(opts, bst.RelaxedScans())
-		}
-		m := bst.NewShardedRange(0, keys-1, shards, opts...)
+	{
+		m := bst.NewShardedRange(0, keys-1, shards)
 		prefillStore(m, keys, o.Seed)
 		srv, err := server.Start(server.Config{Addr: "127.0.0.1:0", Store: m})
 		if err != nil {
@@ -63,8 +56,8 @@ func E15Serving(o Options) {
 		}
 
 		tab := harness.NewTable(
-			fmt.Sprintf("E15: %s scans over TCP, %d keys, %d shards, mix 45i/45d/10s(w=keys/%d) — Kops/s by conns × pipeline depth",
-				mode.name, keys, shards, shards),
+			fmt.Sprintf("E15: atomic scans over TCP, %d keys, %d shards, mix 45i/45d/10s(w=keys/%d) — Kops/s by conns × pipeline depth",
+				keys, shards, shards),
 			"conns", "pipe=1", "pipe=16", "pipe=64")
 		sweep := o.threadSweep()
 		lastRow := map[int]*loadgen.Result{}
@@ -96,8 +89,8 @@ func E15Serving(o Options) {
 		o.emit(tab)
 
 		lat := harness.NewTable(
-			fmt.Sprintf("E15: %s — client-observed latency at conns=%d, by pipeline depth",
-				mode.name, sweep[len(sweep)-1]),
+			fmt.Sprintf("E15: client-observed latency at conns=%d, by pipeline depth",
+				sweep[len(sweep)-1]),
 			"pipeline", "point p50", "point p99", "scan p50", "scan p99")
 		for _, p := range pipelines {
 			if res := lastRow[p]; res != nil {
@@ -166,12 +159,12 @@ func E15Serving(o Options) {
 	}
 	tab := harness.NewTable(
 		fmt.Sprintf("E15: pipelined SCAN vs concurrent cross-shard move over the wire — torn scans per %d trials", trials),
-		"mode", "torn scans", "trials")
+		"scan", "torn scans", "trials")
 	for _, mode := range []struct {
-		name    string
-		relaxed bool
-	}{{"atomic (shared clock)", false}, {"relaxed (per-shard clocks)", true}} {
-		torn, err := WireTearCheck(mode.relaxed, trials)
+		name     string
+		stitched bool
+	}{{"atomic (one cut)", false}, {"stitched (one cut per shard)", true}} {
+		torn, err := WireTearCheck(mode.stitched, trials)
 		if err != nil {
 			fmt.Fprintf(o.Out, "E15: tear check (%s): %v\n", mode.name, err)
 			return
@@ -199,10 +192,20 @@ func shutdownServer(srv *server.Server) {
 	srv.Shutdown(ctx) //nolint:errcheck
 }
 
+// stitchedStore serves a map whose RangeScanFunc is stitchedScan, so a
+// wire SCAN of it is cut shard by shard; every other method is the
+// map's own.
+type stitchedStore struct{ *bst.ShardedMap }
+
+func (s stitchedStore) RangeScanFunc(a, b int64, visit func(k int64) bool) {
+	stitchedScan(s.ShardedMap, a, b, visit)
+}
+
 // WireTearCheck runs `trials` deterministic cross-shard moves against a
 // pipelined wire SCAN and returns how many scans observed a torn state
 // (both the pre-move and post-move copy of the moved key — a set no
-// atomic cut admits, exactly E13's oracle rule).
+// atomic cut admits, exactly E13's oracle rule). With stitched set the
+// server's store scans through stitchedScan instead of one atomic cut.
 //
 // Determinism does not rely on sleeps. The store holds `fillers` keys in
 // shard 1, between the scanner's marker key (home, shard 0) and the
@@ -212,13 +215,13 @@ func shutdownServer(srv *server.Server) {
 // after the home frame: the filler stream then overfills every buffer
 // between server and client — filler bytes exceed total buffering ~6× —
 // so the server's scan visitor is blocked in a socket write INSIDE
-// shard 1, before relaxed mode has cut shard 2. The mover's
+// shard 1, before a stitched scan has cut shard 2. The mover's
 // delete(home)+insert(away) round trips complete on their own
 // connection during the stall; then the scanner drains the rest. A
-// relaxed scan therefore reports home (cut before the delete) AND away
-// (cut after the insert) — torn, every trial; the shared clock's single
+// stitched scan therefore reports home (cut before the delete) AND away
+// (cut after the insert) — torn, every trial; the atomic scan's single
 // phase predates the move entirely — torn never.
-func WireTearCheck(relaxed bool, trials int) (torn int, err error) {
+func WireTearCheck(stitched bool, trials int) (torn int, err error) {
 	const (
 		keyRange = 1 << 20
 		shards   = 4
@@ -228,19 +231,19 @@ func WireTearCheck(relaxed bool, trials int) (torn int, err error) {
 		away     = int64(keyRange/2 + 1000) // shard 2: [512Ki, 768Ki)
 		fillerLo = int64(keyRange / 4)      // shard 1: [256Ki, 512Ki)
 	)
-	var opts []bst.ShardedOption
-	if relaxed {
-		opts = append(opts, bst.RelaxedScans())
-	}
-	m := bst.NewShardedRange(0, keyRange-1, shards, opts...)
+	m := bst.NewShardedRange(0, keyRange-1, shards)
 	for i := int64(0); i < fillers; i++ {
 		m.Insert(fillerLo + i*8)
 	}
 	m.Insert(home)
+	var store server.Store = m
+	if stitched {
+		store = stitchedStore{m}
+	}
 
 	srv, err := server.Start(server.Config{
 		Addr:      "127.0.0.1:0",
-		Store:     m,
+		Store:     store,
 		ScanBatch: 1, // one key per frame: the home marker arrives alone
 		SockBuf:   sockBuf,
 	})

@@ -38,13 +38,9 @@ func TestShardedAutoTargets(t *testing.T) {
 			t.Fatalf("ShardedAutoTarget(%d) does not round-trip: got %d,%v", n, got, ok)
 		}
 	}
-	// The families stay disjoint: the plain and relaxed parsers reject
-	// auto names and vice versa.
+	// The families stay disjoint: the plain parser rejects auto names.
 	if _, ok := ParseShardedTarget("sharded4-auto"); ok {
 		t.Fatal("ParseShardedTarget accepted an auto name")
-	}
-	if _, ok := ParseShardedRelaxedTarget("sharded4-auto"); ok {
-		t.Fatal("ParseShardedRelaxedTarget accepted an auto name")
 	}
 
 	cfg := shortCfg(ShardedAutoTarget(4))

@@ -7,16 +7,14 @@ import (
 	"repro/internal/workload"
 )
 
-// TargetFlags is the -impl/-shards/-relaxed/-rebalance (and optionally
-// -zipf) flag cluster shared by cmd/benchbst, cmd/stress and
-// cmd/bstserver, with the target-resolution rules that used to be
-// re-implemented per binary: canonicalization of the sharded family,
-// the -relaxed/-rebalance exclusion, shard-count bounds, and -zipf
-// validation.
+// TargetFlags is the -impl/-shards/-rebalance (and optionally -zipf)
+// flag cluster shared by cmd/benchbst, cmd/stress and cmd/bstserver,
+// with the target-resolution rules that used to be re-implemented per
+// binary: canonicalization of the sharded family, shard-count bounds,
+// and -zipf validation.
 type TargetFlags struct {
 	Impl      string
 	Shards    int
-	Relaxed   bool
 	Rebalance bool
 
 	zipf *float64 // nil when registered without RegisterZipf
@@ -28,9 +26,8 @@ type TargetFlags struct {
 // flag (binaries that generate load locally); servers leave it out.
 func RegisterTargetFlags(fs *flag.FlagSet, defaultImpl string, zipf bool) *TargetFlags {
 	t := &TargetFlags{fs: fs}
-	fs.StringVar(&t.Impl, "impl", defaultImpl, "implementation under test (any harness target: pnbbst, nbbst, lockbst, skiplist, snapcollector, sharded[<N>][-relaxed|-auto], ...)")
+	fs.StringVar(&t.Impl, "impl", defaultImpl, "implementation under test (any harness target: pnbbst, nbbst, lockbst, skiplist, snapcollector, sharded[<N>][-auto], ...)")
 	fs.IntVar(&t.Shards, "shards", DefaultShards, "shard count (with a sharded -impl)")
-	fs.BoolVar(&t.Relaxed, "relaxed", false, "per-shard phase clocks: relaxed cross-shard scans (with a sharded -impl)")
 	fs.BoolVar(&t.Rebalance, "rebalance", false, "background load-driven shard rebalancer: online splits/merges (with a sharded -impl)")
 	if zipf {
 		t.zipf = RegisterZipfFlag(fs)
@@ -78,9 +75,9 @@ func FlagWasSet(fs *flag.FlagSet, name string) bool {
 }
 
 // Resolve validates the cluster and returns the canonical harness
-// target name: "sharded"/"sharded-relaxed"/"sharded-auto" pick up the
-// -shards count, -relaxed and -rebalance rewrite a sharded target to
-// its variant, and every result is checked against the target registry.
+// target name: "sharded"/"sharded-auto" pick up the -shards count,
+// -rebalance rewrites a sharded target to its auto variant, and every
+// result is checked against the target registry.
 // keyRange bounds the shard count (each shard must own at least one
 // key); pass MaxShardKeyRange when no workload bound applies.
 func (t *TargetFlags) Resolve(keyRange int64) (string, error) {
@@ -91,31 +88,19 @@ func (t *TargetFlags) Resolve(keyRange int64) (string, error) {
 	switch target {
 	case TargetSharded:
 		target = ShardedTarget(t.Shards)
-	case TargetShardedRelax:
-		target = ShardedRelaxedTarget(t.Shards)
 	case TargetShardedAuto:
 		target = ShardedAutoTarget(t.Shards)
 	default:
 		if t.Set("shards") {
-			return "", fmt.Errorf("-shards only applies to -impl %s, %s or %s",
-				TargetSharded, TargetShardedRelax, TargetShardedAuto)
-		}
-	}
-	if t.Relaxed && t.Rebalance {
-		return "", fmt.Errorf("-relaxed and -rebalance are mutually exclusive: the rebalancer's migration cut needs the shared clock")
-	}
-	if t.Relaxed {
-		if n, ok := ParseShardedTarget(target); ok {
-			target = ShardedRelaxedTarget(n)
-		} else if _, ok := ParseShardedRelaxedTarget(target); !ok {
-			return "", fmt.Errorf("-relaxed only applies to sharded implementations")
+			return "", fmt.Errorf("-shards only applies to -impl %s or %s",
+				TargetSharded, TargetShardedAuto)
 		}
 	}
 	if t.Rebalance {
 		if n, ok := ParseShardedTarget(target); ok {
 			target = ShardedAutoTarget(n)
 		} else if _, ok := ParseShardedAutoTarget(target); !ok {
-			return "", fmt.Errorf("-rebalance only applies to shared-clock sharded implementations")
+			return "", fmt.Errorf("-rebalance only applies to sharded implementations")
 		}
 	}
 	if n, ok := ParseAnySharded(target); ok && (n < 1 || int64(n) > keyRange) {
@@ -135,12 +120,9 @@ func (t *TargetFlags) Resolve(keyRange int64) (string, error) {
 const MaxShardKeyRange = int64(1) << 62
 
 // ParseAnySharded reports whether name belongs to any sharded target
-// family (plain, -relaxed or -auto), and with how many shards.
+// family (plain or -auto), and with how many shards.
 func ParseAnySharded(name string) (int, bool) {
 	if n, ok := ParseShardedTarget(name); ok {
-		return n, true
-	}
-	if n, ok := ParseShardedRelaxedTarget(name); ok {
 		return n, true
 	}
 	return ParseShardedAutoTarget(name)

@@ -29,8 +29,6 @@ func TestTargetFlagsResolve(t *testing.T) {
 		{[]string{"-impl", "sharded"}, "sharded8"},
 		{[]string{"-impl", "sharded", "-shards", "16"}, "sharded16"},
 		{[]string{"-impl", "sharded4"}, "sharded4"},
-		{[]string{"-impl", "sharded", "-relaxed"}, "sharded8-relaxed"},
-		{[]string{"-impl", "sharded-relaxed", "-shards", "4"}, "sharded4-relaxed"},
 		{[]string{"-impl", "sharded4", "-rebalance"}, "sharded4-auto"},
 		{[]string{"-impl", "sharded-auto", "-shards", "2"}, "sharded2-auto"},
 		{[]string{"-impl", "sharded2-auto", "-rebalance"}, "sharded2-auto"},
@@ -56,16 +54,10 @@ func TestTargetFlagsResolveErrors(t *testing.T) {
 		wantSub string
 	}{
 		{[]string{"-impl", "pnbbst", "-shards", "4"}, "-shards only applies"},
-		{[]string{"-impl", "nbbst", "-relaxed"}, "-relaxed only applies"},
 		{[]string{"-impl", "nbbst", "-rebalance"}, "-rebalance only applies"},
-		{[]string{"-impl", "sharded", "-relaxed", "-rebalance"}, "mutually exclusive"},
 		{[]string{"-impl", "sharded", "-shards", "0"}, "shard count"},
 		{[]string{"-impl", "nosuch"}, "unknown target"},
 		{[]string{"-impl", "sharded", "-zipf", "0.5"}, "-zipf must be > 1"},
-		// A relaxed target cannot host the rebalancer in either spelling,
-		// nor -relaxed rewrite an auto target.
-		{[]string{"-impl", "sharded8-relaxed", "-rebalance"}, "-rebalance only applies"},
-		{[]string{"-impl", "sharded8-auto", "-relaxed"}, "-relaxed only applies"},
 	}
 	for _, c := range cases {
 		tf := parseTargetFlags(t, c.args...)
@@ -86,16 +78,38 @@ func TestTargetFlagsResolveErrors(t *testing.T) {
 
 func TestParseAnySharded(t *testing.T) {
 	for name, want := range map[string]int{
-		"sharded": 8, "sharded4": 4, "sharded4-relaxed": 4, "sharded16-auto": 16,
+		"sharded": 8, "sharded4": 4, "sharded16-auto": 16,
 	} {
 		if n, ok := ParseAnySharded(name); !ok || n != want {
 			t.Errorf("ParseAnySharded(%q) = %d, %v", name, n, ok)
 		}
 	}
-	for _, name := range []string{"pnbbst", "sharded04", "sharded4-relaxed-auto"} {
+	for _, name := range []string{"pnbbst", "sharded04", "sharded4-relaxed", "sharded4-relaxed-auto"} {
 		if _, ok := ParseAnySharded(name); ok {
 			t.Errorf("ParseAnySharded(%q) accepted", name)
 		}
+	}
+}
+
+// TestRelaxedSpellingsRejected: the relaxed-scan target family and the
+// -relaxed flag no longer exist, and their old spellings must fail
+// loudly — unknown to Factory and Resolve, undefined as a flag — rather
+// than quietly run the atomic store.
+func TestRelaxedSpellingsRejected(t *testing.T) {
+	for _, name := range []string{"sharded-relaxed", "sharded4-relaxed"} {
+		if _, err := Factory(name); err == nil || !strings.Contains(err.Error(), "unknown target") {
+			t.Errorf("Factory(%q) err = %v, want an unknown-target error", name, err)
+		}
+		tf := parseTargetFlags(t, "-impl", name)
+		if _, err := tf.Resolve(1 << 20); err == nil || !strings.Contains(err.Error(), "unknown target") {
+			t.Errorf("Resolve(-impl %s) err = %v, want an unknown-target error", name, err)
+		}
+	}
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	RegisterTargetFlags(fs, "sharded", false)
+	if err := fs.Parse([]string{"-relaxed"}); err == nil {
+		t.Error("-relaxed parsed; want an undefined-flag error")
 	}
 }
 

@@ -6,35 +6,28 @@ import (
 )
 
 // FuzzParseShardedTarget fuzzes the sharded-family target grammar:
-// arbitrary names must never panic, the three parsers (plain, -relaxed,
-// -auto) must be mutually exclusive, every accepted name must satisfy
-// the canonical-only contract (round-trip through its builder, shard
-// count >= 1), and every accepted name must resolve through
-// FactoryRange. The checked-in corpus under testdata/fuzz seeds the
-// canonical spellings and the documented rejections; CI runs a
-// short-budget smoke.
+// arbitrary names must never panic, the two parsers (plain, -auto) must
+// be mutually exclusive, every accepted name must satisfy the
+// canonical-only contract (round-trip through its builder, shard count
+// >= 1), and every accepted name must resolve through FactoryRange. The
+// checked-in corpus under testdata/fuzz seeds the canonical spellings
+// and the documented rejections; CI runs a short-budget smoke.
 func FuzzParseShardedTarget(f *testing.F) {
 	for _, s := range []string{
-		"sharded", "sharded1", "sharded16", "sharded-relaxed", "sharded8-relaxed",
+		"sharded", "sharded1", "sharded16",
 		"sharded-auto", "sharded8-auto", "sharded04", "sharded+4", "sharded4.0",
-		"sharded4-relaxed-auto", "pnbbst", "", "sharded18446744073709551616",
+		"pnbbst", "", "sharded18446744073709551616",
 		"sharded\x004", "ShArDeD4", "sharded-1", "sharded9999999999",
+		// The removed relaxed-scan family: must be rejected everywhere.
+		"sharded-relaxed", "sharded8-relaxed", "sharded4-relaxed-auto",
 	} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, name string) {
 		n1, ok1 := ParseShardedTarget(name)
-		n2, ok2 := ParseShardedRelaxedTarget(name)
-		n3, ok3 := ParseShardedAutoTarget(name)
-
-		accepted := 0
-		for _, ok := range []bool{ok1, ok2, ok3} {
-			if ok {
-				accepted++
-			}
-		}
-		if accepted > 1 {
-			t.Fatalf("%q accepted by %d parsers", name, accepted)
+		n2, ok2 := ParseShardedAutoTarget(name)
+		if ok1 && ok2 {
+			t.Fatalf("%q accepted by both parsers", name)
 		}
 
 		// Canonical-only: each accepted name is exactly what its builder
@@ -54,9 +47,7 @@ func FuzzParseShardedTarget(f *testing.F) {
 		case ok1:
 			check(n1, ShardedTarget, TargetSharded)
 		case ok2:
-			check(n2, ShardedRelaxedTarget, TargetShardedRelax)
-		case ok3:
-			check(n3, ShardedAutoTarget, TargetShardedAuto)
+			check(n2, ShardedAutoTarget, TargetShardedAuto)
 		default:
 			// Rejected names starting with the family prefix must also be
 			// rejected by the factory (no secret spellings).

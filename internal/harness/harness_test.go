@@ -180,51 +180,3 @@ func TestShardedTargets(t *testing.T) {
 		}
 	}
 }
-
-func TestShardedRelaxedTargets(t *testing.T) {
-	if got := ShardedRelaxedTarget(16); got != "sharded16-relaxed" {
-		t.Fatalf("ShardedRelaxedTarget(16) = %q", got)
-	}
-	for name, want := range map[string]int{
-		TargetShardedRelax: DefaultShards, "sharded1-relaxed": 1, "sharded16-relaxed": 16,
-	} {
-		n, ok := ParseShardedRelaxedTarget(name)
-		if !ok || n != want {
-			t.Fatalf("ParseShardedRelaxedTarget(%q) = %d,%v, want %d", name, n, ok, want)
-		}
-	}
-	// The canonical-only rule carries over to the relaxed family, and the
-	// suffix itself must be exact; the plain parser must not accept the
-	// relaxed family nor vice versa.
-	for _, bad := range []string{
-		"sharded04-relaxed", "sharded+4-relaxed", "sharded-relaxed4",
-		"sharded4-Relaxed", "sharded4relaxed", "sharded4-relaxed ", "relaxed",
-	} {
-		if n, ok := ParseShardedRelaxedTarget(bad); ok {
-			t.Fatalf("ParseShardedRelaxedTarget(%q) accepted with n=%d", bad, n)
-		}
-	}
-	if _, ok := ParseShardedTarget("sharded4-relaxed"); ok {
-		t.Fatal("ParseShardedTarget accepted the relaxed spelling")
-	}
-	if _, ok := ParseShardedRelaxedTarget("sharded4"); ok {
-		t.Fatal("ParseShardedRelaxedTarget accepted the plain spelling")
-	}
-	for _, n := range []int{1, 2, 8, 64} {
-		got, ok := ParseShardedRelaxedTarget(ShardedRelaxedTarget(n))
-		if !ok || got != n {
-			t.Fatalf("ShardedRelaxedTarget(%d) does not round-trip: got %d,%v", n, got, ok)
-		}
-	}
-	// A relaxed run completes, exposes stats, and supports FuncScanner.
-	res := Run(shortCfg(ShardedRelaxedTarget(4)))
-	if res.TotalOps() == 0 || res.ScanKeys == 0 {
-		t.Fatalf("relaxed run: ops=%d scanKeys=%d", res.TotalOps(), res.ScanKeys)
-	}
-	if _, ok := PNBStats(res.Inst); !ok {
-		t.Fatal("relaxed sharded: PNBStats unavailable")
-	}
-	if _, ok := res.Inst.(FuncScanner); !ok {
-		t.Fatal("sharded instance does not expose FuncScanner")
-	}
-}

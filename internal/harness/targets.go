@@ -18,16 +18,15 @@ import (
 // an explicit shard count suffix: "sharded4", "sharded16", ... (see
 // ShardedTarget).
 const (
-	TargetPNBBST        = "pnbbst"          // the paper's tree (wait-free linearizable scans)
-	TargetPNBBSTNoHS    = "pnbbst-nohs"     // ablation: handshake disabled (E9 only)
-	TargetPNBBSTNoPool  = "pnbbst-nopool"   // ablation: post-horizon recycling off (E12; DESIGN.md §10)
-	TargetNBBST         = "nbbst"           // Ellen et al. baseline (unsafe scans)
-	TargetLockBST       = "lockbst"         // RWMutex tree (blocking scans)
-	TargetSkipList      = "skiplist"        // lock-free skip list (unsafe scans)
-	TargetSnapCollector = "snapcollector"   // Petrank–Timnat scans on the skip list
-	TargetSharded       = "sharded"         // keyspace-sharded PNB-BSTs (DefaultShards shards, shared clock: atomic cross-shard scans)
-	TargetShardedRelax  = "sharded-relaxed" // sharded with per-shard clocks (relaxed cross-shard scans, E13 baseline)
-	TargetShardedAuto   = "sharded-auto"    // sharded with a background load-driven rebalancer (online splits/merges, E14)
+	TargetPNBBST        = "pnbbst"        // the paper's tree (wait-free linearizable scans)
+	TargetPNBBSTNoHS    = "pnbbst-nohs"   // ablation: handshake disabled (E9 only)
+	TargetPNBBSTNoPool  = "pnbbst-nopool" // ablation: post-horizon recycling off (E12; DESIGN.md §10)
+	TargetNBBST         = "nbbst"         // Ellen et al. baseline (unsafe scans)
+	TargetLockBST       = "lockbst"       // RWMutex tree (blocking scans)
+	TargetSkipList      = "skiplist"      // lock-free skip list (unsafe scans)
+	TargetSnapCollector = "snapcollector" // Petrank–Timnat scans on the skip list
+	TargetSharded       = "sharded"       // keyspace-sharded PNB-BSTs (DefaultShards shards, shared clock: atomic cross-shard scans)
+	TargetShardedAuto   = "sharded-auto"  // sharded with a background load-driven rebalancer (online splits/merges, E14)
 )
 
 // DefaultShards is the shard count of the plain "sharded" target.
@@ -36,26 +35,6 @@ const DefaultShards = 8
 // ShardedTarget returns the target name selecting an n-shard sharded
 // PNB-BST, e.g. ShardedTarget(16) == "sharded16".
 func ShardedTarget(n int) string { return fmt.Sprintf("sharded%d", n) }
-
-// relaxedSuffix marks the relaxed-scan variant of the sharded family.
-const relaxedSuffix = "-relaxed"
-
-// ShardedRelaxedTarget returns the target name selecting an n-shard
-// sharded PNB-BST with relaxed (per-shard-clock) cross-shard scans, e.g.
-// ShardedRelaxedTarget(16) == "sharded16-relaxed".
-func ShardedRelaxedTarget(n int) string { return ShardedTarget(n) + relaxedSuffix }
-
-// ParseShardedRelaxedTarget reports whether name selects the relaxed
-// sharded variant, and with how many shards. The same canonical-only
-// rule as ParseShardedTarget applies to the shard count, so every
-// accepted name round-trips through ShardedRelaxedTarget.
-func ParseShardedRelaxedTarget(name string) (int, bool) {
-	base, ok := strings.CutSuffix(name, relaxedSuffix)
-	if !ok {
-		return 0, false
-	}
-	return ParseShardedTarget(base)
-}
 
 // autoSuffix marks the auto-rebalancing variant of the sharded family.
 const autoSuffix = "-auto"
@@ -99,14 +78,14 @@ func ParseShardedTarget(name string) (int, bool) {
 }
 
 // Targets returns all registered implementation names, sorted. The
-// parametric "sharded<N>", "sharded<N>-relaxed" and "sharded<N>-auto"
-// families are represented by their default entries.
+// parametric "sharded<N>" and "sharded<N>-auto" families are
+// represented by their default entries.
 func Targets() []string {
-	names := make([]string, 0, len(factories)+3)
+	names := make([]string, 0, len(factories)+2)
 	for n := range factories {
 		names = append(names, n)
 	}
-	names = append(names, TargetSharded, TargetShardedRelax, TargetShardedAuto)
+	names = append(names, TargetSharded, TargetShardedAuto)
 	sort.Strings(names)
 	return names
 }
@@ -136,25 +115,16 @@ func FactoryRange(name string) (func(lo, hi int64) Instance, error) {
 	if f, ok := factories[name]; ok {
 		return f, nil
 	}
-	if n, ok := ParseShardedRelaxedTarget(name); ok {
-		return func(lo, hi int64) Instance {
-			return shInstance{shard.NewRange(lo, hi, n, shard.WithRelaxedScans())}
-		}, nil
-	}
 	if n, ok := ParseShardedAutoTarget(name); ok {
 		return func(lo, hi int64) Instance {
 			s := shard.NewRange(lo, hi, n)
-			stop, err := s.AutoRebalance(shard.RebalanceConfig{})
-			if err != nil {
-				panic(err) // unreachable: the set is not relaxed
-			}
-			return &shAutoInstance{shInstance: shInstance{s}, stop: stop}
+			return &shAutoInstance{shInstance: shInstance{s}, stop: s.AutoRebalance(shard.RebalanceConfig{})}
 		}, nil
 	}
 	if n, ok := ParseShardedTarget(name); ok {
 		return func(lo, hi int64) Instance { return shInstance{shard.NewRange(lo, hi, n)} }, nil
 	}
-	return nil, fmt.Errorf("harness: unknown target %q (have %v, plus sharded<N>, sharded<N>-relaxed and sharded<N>-auto)", name, Targets())
+	return nil, fmt.Errorf("harness: unknown target %q (have %v, plus sharded<N> and sharded<N>-auto)", name, Targets())
 }
 
 // Factory returns the no-argument constructor for a named target;
@@ -228,9 +198,6 @@ func (i shInstance) Insert(k int64) bool   { return i.s.Insert(k) }
 func (i shInstance) Delete(k int64) bool   { return i.s.Delete(k) }
 func (i shInstance) Contains(k int64) bool { return i.s.Find(k) }
 func (i shInstance) Scan(a, b int64) int   { return i.s.RangeCount(a, b) }
-func (i shInstance) RangeScanFunc(a, b int64, visit func(k int64) bool) {
-	i.s.RangeScanFunc(a, b, visit)
-}
 
 // shAutoInstance is a sharded instance with a running background
 // rebalancer. Close stops the rebalancer; Run closes every closing
@@ -274,14 +241,6 @@ func shardSetOf(i Instance) (*shard.Set, bool) {
 	default:
 		return nil, false
 	}
-}
-
-// FuncScanner is the optional streaming-scan surface of an Instance.
-// The E13 atomicity experiment uses it to interleave updates with an
-// in-flight scan (from the visitor) and to inspect exactly which keys a
-// scan observed; type-assert the Instance to reach it.
-type FuncScanner interface {
-	RangeScanFunc(a, b int64, visit func(k int64) bool)
 }
 
 // PNBStats exposes the PNB-BST instrumentation counters of an instance

@@ -84,26 +84,18 @@ type Map struct {
 	openedAt    time.Time
 }
 
-// ErrRelaxedPersist reports an Open on a RelaxedScans map: without the
-// shared clock there is no single phase ordering updates against
-// checkpoint cuts, so no consistent image can be cut or replayed.
-var ErrRelaxedPersist = errors.New("persist: a RelaxedScans map cannot be persisted (no shared phase clock)")
-
 // ErrNonEmptyMap reports an Open with a map that already holds keys:
 // recovery seeds the map, and pre-existing unlogged keys would silently
 // vanish on the next recovery.
 var ErrNonEmptyMap = errors.New("persist: Open requires an empty map (recovery seeds it)")
 
-// Open recovers the durable state of cfg.Dir into m (which must be empty
-// and not RelaxedScans), advances m's clock past every recovered phase,
+// Open recovers the durable state of cfg.Dir into m (which must be
+// empty), advances m's clock past every recovered phase,
 // opens a fresh WAL segment, and returns the durable wrapper plus the
 // recovery image for inspection.
 func Open(cfg Config, m *bst.ShardedMap) (*Map, *Image, error) {
 	if m == nil {
 		return nil, nil, errors.New("persist: nil map")
-	}
-	if m.Relaxed() {
-		return nil, nil, ErrRelaxedPersist
 	}
 	if m.Len() != 0 {
 		return nil, nil, ErrNonEmptyMap
@@ -153,7 +145,8 @@ func (p *Map) Underlying() *bst.ShardedMap { return p.m }
 // durable store serves the same per-shard gauges as a plain one.
 func (p *Map) ShardInfos() []bst.ShardInfo { return p.m.ShardInfos() }
 
-// ClockNow returns the current phase of the wrapped map's shared clock.
+// ClockNow returns the current phase of the wrapped map's shared clock;
+// ok is always true; the pair matches bst.ShardedMap.ClockNow.
 func (p *Map) ClockNow() (uint64, bool) { return p.m.ClockNow() }
 
 func (p *Map) mustAppend(group []byte, maxPhase uint64) {
@@ -289,10 +282,7 @@ func (p *Map) Checkpoint() (CheckpointStats, error) {
 	p.cutMu.Unlock()
 	defer snap.Release()
 
-	cut, ok := snap.Seq()
-	if !ok {
-		return CheckpointStats{}, ErrRelaxedPersist // unreachable: Open refused relaxed maps
-	}
+	cut := snap.Seq()
 	path, n, err := writeCheckpoint(p.cfg.Dir, cut, snap, p.cfg.CheckpointBlock, p.ckptGate)
 	if err != nil {
 		return CheckpointStats{}, err

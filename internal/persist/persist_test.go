@@ -309,9 +309,6 @@ func TestConcurrentChurnDuringCheckpoint(t *testing.T) {
 }
 
 func TestOpenRejections(t *testing.T) {
-	if _, _, err := Open(Config{Dir: t.TempDir()}, bst.NewSharded(4, bst.RelaxedScans())); err != ErrRelaxedPersist {
-		t.Fatalf("relaxed map: err = %v, want ErrRelaxedPersist", err)
-	}
 	m := newTestMap()
 	m.Insert(1)
 	if _, _, err := Open(Config{Dir: t.TempDir()}, m); err != ErrNonEmptyMap {

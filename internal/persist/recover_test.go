@@ -96,7 +96,7 @@ func TestDuplicateKeyReplayAfterUncleanCheckpointBoundary(t *testing.T) {
 	// between Checkpoint's rename and its dropBefore.
 	m := p.Underlying()
 	snap := m.Snapshot()
-	cut, _ := snap.Seq()
+	cut := snap.Seq()
 	if _, _, err := writeCheckpoint(dir, cut, snap, 0, nil); err != nil {
 		snap.Release()
 		t.Fatal(err)

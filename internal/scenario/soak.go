@@ -203,17 +203,7 @@ func Soak(cfg SoakConfig) (*SoakReport, error) {
 	}
 	addr := srv.Addr().String()
 	stopCompact := m.StartAutoCompact(cfg.CompactEvery)
-	stopRb, err := m.StartAutoRebalance(bst.RebalanceConfig{Interval: cfg.RebalanceEvery})
-	if err != nil {
-		stopCompact()
-		if stopCkpt != nil {
-			stopCkpt()
-		}
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), time.Second)
-		defer cancel()
-		srv.Shutdown(shutdownCtx) //nolint:errcheck
-		return nil, fmt.Errorf("soak: rebalancer: %w", err)
-	}
+	stopRb := m.StartAutoRebalance(bst.RebalanceConfig{Interval: cfg.RebalanceEvery})
 	logf("soak: serving %s, %d shards over [%d, %d], compact every %v, rebalance every %v",
 		addr, cfg.Shards, -k, k-1, cfg.CompactEvery, cfg.RebalanceEvery)
 
@@ -633,7 +623,7 @@ func auditEvents(rep *SoakReport, violate func(string, ...any), mark uint64,
 		}
 	}
 
-	finalPhase, hasClock := m.ClockNow()
+	finalPhase, _ := m.ClockNow()
 	last := map[obs.EventType]uint64{}
 	var maxRotate uint64
 	for _, e := range obs.Default.Events(obs.Filter{SinceSeq: mark}) {
@@ -648,7 +638,7 @@ func auditEvents(rep *SoakReport, violate func(string, ...any), mark uint64,
 				violate("flight recorder: %s phases went backwards: %d after %d", e.Type, e.Phase, p)
 			}
 			last[e.Type] = e.Phase
-			if hasClock && e.Phase > finalPhase {
+			if e.Phase > finalPhase {
 				violate("flight recorder: %s stamped phase %d beyond final clock %d", e.Type, e.Phase, finalPhase)
 			}
 			if e.Type == obs.EventWALSync && e.Kind == obs.KindRotate && e.Phase > maxRotate {

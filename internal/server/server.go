@@ -47,8 +47,7 @@ import (
 // (BulkLoader). bst.ShardedMap and persist.Map satisfy it. For the
 // serving layer's headline guarantee — remote SCANs observing one atomic
 // cut — the store's RangeScanFunc must itself be linearizable (true for
-// both, unless the map was built with bst.RelaxedScans, which E15
-// measures as the relaxed baseline).
+// both).
 type Store interface {
 	Insert(k int64) bool
 	Delete(k int64) bool
@@ -144,9 +143,7 @@ func Start(cfg Config) (*Server, error) {
 	// Stores built on the shared phase clock report it; drain and
 	// slow-op events are stamped with the phase read at emit time.
 	if pr, ok := cfg.Store.(interface{ ClockNow() (uint64, bool) }); ok {
-		if _, hasClock := pr.ClockNow(); hasClock {
-			s.phaseOf = func() uint64 { p, _ := pr.ClockNow(); return p }
-		}
+		s.phaseOf = func() uint64 { p, _ := pr.ClockNow(); return p }
 	}
 	if cfg.MetricsAddr != "" {
 		if err := s.startMetrics(cfg.MetricsAddr); err != nil {

@@ -14,18 +14,40 @@ import (
 // shard-0 cut and the shard-1 cut, and performs the racing move right
 // there — so the §5.2 anomaly is forced, not hoped for. On the shared
 // clock the move lands in a later phase than the scan and is invisible;
-// on relaxed sets the move is visible to the not-yet-cut shard only,
-// splitting the scan across two states.
+// to a stitched scan (stitchedScan) the move is visible in the
+// not-yet-cut shard only, splitting the scan across two states.
+
+// stitchedScan visits [a, b] of s one shard at a time: RangeScanFunc
+// over each covered shard's bounds in turn, so each shard is cut at its
+// own phase of the shared clock, opened when the scan reaches it. This
+// is the per-shard composition that one atomic cut rules out.
+func stitchedScan(s *Set, a, b int64, visit func(k int64) bool) {
+	r := s.Router()
+	first, last := r.Covering(a, b)
+	stopped := false
+	for i := first; i <= last && !stopped; i++ {
+		lo, hi := r.Bounds(i)
+		s.RangeScanFunc(max(a, lo), min(b, hi), func(k int64) bool {
+			stopped = !visit(k)
+			return !stopped
+		})
+	}
+}
 
 // moveScan runs the deterministic schedule: a 2-shard set over [0, 999]
 // (boundary 500) holding sentinel k0=100 plus the "item" at exactly one
 // of home=400 (shard 0) or away=600 (shard 1); mid-scan, the visitor
 // moves the item to the other side (inserting the new location before
-// deleting the old, or the reverse). Returns the scanned keys.
-func moveScan(s *Set, item, dest int64, insertFirst bool) []int64 {
+// deleting the old, or the reverse). The scan is s.RangeScanFunc, or
+// stitchedScan when stitched is set. Returns the scanned keys.
+func moveScan(s *Set, stitched bool, item, dest int64, insertFirst bool) []int64 {
+	scan := s.RangeScanFunc
+	if stitched {
+		scan = func(a, b int64, visit func(k int64) bool) { stitchedScan(s, a, b, visit) }
+	}
 	moved := false
 	var got []int64
-	s.RangeScanFunc(0, 999, func(k int64) bool {
+	scan(0, 999, func(k int64) bool {
 		if !moved {
 			moved = true
 			if insertFirst {
@@ -57,7 +79,7 @@ func TestCrossShardScanAtomicCut(t *testing.T) {
 		s := NewRange(0, 999, 2)
 		s.Insert(100)
 		s.Insert(tc.item)
-		got := moveScan(s, tc.item, tc.dest, tc.insertFirst)
+		got := moveScan(s, false, tc.item, tc.dest, tc.insertFirst)
 		want := []int64{100, tc.item}
 		if tc.item < 100 {
 			want = []int64{tc.item, 100}
@@ -68,30 +90,31 @@ func TestCrossShardScanAtomicCut(t *testing.T) {
 	}
 }
 
-// TestRelaxedCrossShardAnomaly pins the documented §5.2 relaxation —
-// and is exactly what Set.RangeScanFunc did for ALL sets before the
-// shared clock: the same schedules produce results no single instant of
-// the set ever held (the item vanishes entirely, or appears on both
-// sides of the boundary at once).
-func TestRelaxedCrossShardAnomaly(t *testing.T) {
+// TestStitchedCrossShardAnomaly pins why the shared clock's single cut
+// is needed (DESIGN.md §5.2). A stitched scan is exactly what
+// Set.RangeScanFunc did for ALL sets before the shared clock: the same
+// schedules produce results no single instant of the set ever held (the
+// item vanishes entirely, or appears on both sides of the boundary at
+// once).
+func TestStitchedCrossShardAnomaly(t *testing.T) {
 	// Item moves from shard 1 to shard 0: the insert lands in the
 	// already-cut shard (invisible), the delete in the not-yet-cut shard
 	// (visible) — the scan sees NEITHER location, though the union was
 	// never empty.
-	s := NewRange(0, 999, 2, WithRelaxedScans())
+	s := NewRange(0, 999, 2)
 	s.Insert(100)
 	s.Insert(600)
-	if got := moveScan(s, 600, 400, true); !equal(got, []int64{100}) {
-		t.Fatalf("relaxed move-left scan = %v, want the anomalous [100]", got)
+	if got := moveScan(s, true, 600, 400, true); !equal(got, []int64{100}) {
+		t.Fatalf("stitched move-left scan = %v, want the anomalous [100]", got)
 	}
 	// Item moves from shard 0 to shard 1: the delete is invisible, the
 	// insert visible — the scan sees BOTH locations, though at most one
 	// was ever present.
-	s = NewRange(0, 999, 2, WithRelaxedScans())
+	s = NewRange(0, 999, 2)
 	s.Insert(100)
 	s.Insert(400)
-	if got := moveScan(s, 400, 600, false); !equal(got, []int64{100, 400, 600}) {
-		t.Fatalf("relaxed move-right scan = %v, want the anomalous [100 400 600]", got)
+	if got := moveScan(s, true, 400, 600, false); !equal(got, []int64{100, 400, 600}) {
+		t.Fatalf("stitched move-right scan = %v, want the anomalous [100 400 600]", got)
 	}
 }
 
@@ -118,15 +141,10 @@ func TestCrossShardSnapshotAtomicCut(t *testing.T) {
 		if got := c.snap.Keys(); !equal(got, c.want) {
 			t.Fatalf("snapshot %s = %v, want %v", c.name, got, c.want)
 		}
-		if seq, ok := c.snap.Seq(); !ok {
-			t.Fatalf("snapshot %s: no shared phase (seq=%d)", c.name, seq)
-		}
-		if !c.snap.Atomic() {
-			t.Fatalf("snapshot %s not atomic", c.name)
-		}
 	}
-	if _, ok := NewRange(0, 9, 2, WithRelaxedScans()).Snapshot().Seq(); ok {
-		t.Fatal("relaxed composite snapshot claims a single shared phase")
+	// Each snapshot opens its own phase, so the captured phases ascend.
+	if a, b, c := snapBefore.Seq(), snapMid.Seq(), snapAfter.Seq(); !(a < b && b < c) {
+		t.Fatalf("snapshot phases %d, %d, %d do not ascend", a, b, c)
 	}
 }
 
@@ -134,7 +152,7 @@ func TestCrossShardSnapshotAtomicCut(t *testing.T) {
 // shuttles an item across a shard boundary while scanners take
 // cross-boundary range scans; the full history (point ops + scan
 // observations) must be linearizable per the scan-aware checker backed
-// by the seqset oracle. This fails on relaxed-style composition whenever
+// by the seqset oracle. This fails on stitched composition whenever
 // a scan straddles a move; with the shared clock it must always pass.
 func TestCrossShardMoveLincheck(t *testing.T) {
 	const (
@@ -385,34 +403,25 @@ func TestRebalanceLincheck(t *testing.T) {
 func TestStatsLogicalScans(t *testing.T) {
 	prefill := []int64{10, 110, 210, 310} // one key per shard of NewRange(0, 399, 4)
 	cases := []struct {
-		name    string
-		relaxed bool
-		run     func(s *Set)
-		want    uint64
+		name string
+		run  func(s *Set)
+		want uint64
 	}{
-		{"scan spanning all shards", false, func(s *Set) { s.RangeScan(0, 399) }, 1},
-		{"scan spanning all shards, relaxed", true, func(s *Set) { s.RangeScan(0, 399) }, 1},
-		{"single-shard scan", false, func(s *Set) { s.RangeScan(0, 50) }, 1},
-		{"empty-range scan opens no phase", false, func(s *Set) { s.RangeScan(50, 40) }, 0},
-		{"count and len", false, func(s *Set) { s.RangeCount(0, 399); s.Len() }, 2},
-		{"count and len, relaxed", true, func(s *Set) { s.RangeCount(0, 399); s.Len() }, 2},
-		{"snapshot", false, func(s *Set) { s.Snapshot().Release() }, 1},
-		{"snapshot, relaxed", true, func(s *Set) { s.Snapshot().Release() }, 1},
-		{"ordered queries", false, func(s *Set) { s.Min(); s.Max(); s.Succ(10); s.Pred(310) }, 4},
-		{"ordered queries, relaxed", true, func(s *Set) { s.Min(); s.Max(); s.Succ(10); s.Pred(310) }, 4},
-		{"point ops are not scans", false, func(s *Set) { s.Insert(5); s.Find(5); s.Delete(5) }, 0},
-		{"ten wide scans", false, func(s *Set) {
+		{"scan spanning all shards", func(s *Set) { s.RangeScan(0, 399) }, 1},
+		{"single-shard scan", func(s *Set) { s.RangeScan(0, 50) }, 1},
+		{"empty-range scan opens no phase", func(s *Set) { s.RangeScan(50, 40) }, 0},
+		{"count and len", func(s *Set) { s.RangeCount(0, 399); s.Len() }, 2},
+		{"snapshot", func(s *Set) { s.Snapshot().Release() }, 1},
+		{"ordered queries", func(s *Set) { s.Min(); s.Max(); s.Succ(10); s.Pred(310) }, 4},
+		{"point ops are not scans", func(s *Set) { s.Insert(5); s.Find(5); s.Delete(5) }, 0},
+		{"ten wide scans", func(s *Set) {
 			for i := 0; i < 10; i++ {
 				s.RangeScan(0, 399)
 			}
 		}, 10},
 	}
 	for _, tc := range cases {
-		var opts []Option
-		if tc.relaxed {
-			opts = append(opts, WithRelaxedScans())
-		}
-		s := NewRange(0, 399, 4, opts...)
+		s := NewRange(0, 399, 4)
 		for _, k := range prefill {
 			s.Insert(k)
 		}

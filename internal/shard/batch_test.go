@@ -299,20 +299,6 @@ func TestBulkLoadRejectsBadInput(t *testing.T) {
 	}
 }
 
-// TestBulkLoadRelaxedFallback: RelaxedScans sets (no shared clock) take
-// the Insert-loop path with identical results.
-func TestBulkLoadRelaxedFallback(t *testing.T) {
-	s := NewRange(0, 999, 2, WithRelaxedScans())
-	s.Insert(10)
-	added, err := s.BulkLoad([]int64{5, 10, 15})
-	if err != nil || added != 2 {
-		t.Fatalf("relaxed load: %d, %v", added, err)
-	}
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", s.Len())
-	}
-}
-
 // TestBulkLoadConcurrentReaders: readers and updaters running through a
 // load observe nothing torn — reads are wait-free across the table swap
 // and updates re-route.

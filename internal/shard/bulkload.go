@@ -27,44 +27,17 @@ var ErrUnsortedBulkLoad = errors.New("shard: BulkLoad keys must be strictly asce
 // publishes, exactly as during a Split/Merge. The whole load serializes
 // with migrations on the same lock, so boundaries cannot shift under it.
 // Keys must lie in [core.MinKey, core.MaxKey].
-//
-// On relaxed sets (no shared clock, hence no migration cut) BulkLoad
-// degrades to an Insert loop: same result, none of the amortization.
 func (s *Set) BulkLoad(keys []int64) (added int, err error) {
-	if s.clock == nil {
-		for i, k := range keys {
-			if k > core.MaxKey {
-				return 0, fmt.Errorf("shard: BulkLoad key %d exceeds MaxKey", k)
-			}
-			if i > 0 && k <= keys[i-1] {
-				return 0, fmt.Errorf("%w (%d after %d)", ErrUnsortedBulkLoad, k, keys[i-1])
-			}
-		}
-		for _, k := range keys {
-			if s.Insert(k) {
-				added++
-			}
-		}
-		return added, nil
-	}
 	added, _, err = s.BulkLoadPhase(keys)
 	return added, err
 }
-
-// ErrRelaxedBulkLoadPhase reports a BulkLoadPhase on a relaxed set, which
-// has no shared clock and therefore no single cut phase to report.
-var ErrRelaxedBulkLoadPhase = errors.New("shard: BulkLoadPhase requires the shared phase clock (set was built WithRelaxedScans)")
 
 // BulkLoadPhase is BulkLoad that additionally reports the migration cut
 // phase the load was linearized at: the loaded keys are present in every
 // read at a phase > cut and absent (unless individually inserted) from
 // every read at a phase <= cut. Durability logs bulk loads as one WAL
-// record stamped with this phase. Requires the shared clock
-// (ErrRelaxedBulkLoadPhase otherwise).
+// record stamped with this phase.
 func (s *Set) BulkLoadPhase(keys []int64) (added int, cut uint64, err error) {
-	if s.clock == nil {
-		return 0, 0, ErrRelaxedBulkLoadPhase
-	}
 	for i, k := range keys {
 		if k > core.MaxKey {
 			return 0, 0, fmt.Errorf("shard: BulkLoad key %d exceeds MaxKey", k)

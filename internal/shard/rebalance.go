@@ -39,11 +39,6 @@ import (
 // to the abstract set state — step 3 changes which trees hold the keys,
 // never which keys are held.
 
-// ErrRelaxedRebalance reports a Split/Merge/AutoRebalance on a set built
-// WithRelaxedScans: without the shared clock there is no single phase to
-// take the migration cut at.
-var ErrRelaxedRebalance = errors.New("shard: rebalancing requires the shared phase clock (set was built WithRelaxedScans)")
-
 // ErrSplitTooSmall reports a split of a shard that holds fewer than two
 // keys, which has no median to divide at.
 var ErrSplitTooSmall = errors.New("shard: shard holds fewer than two keys; nothing to split")
@@ -62,12 +57,8 @@ func (s *Set) Migrations() (splits, merges uint64) {
 // Split divides shard i in two at the median key of its current
 // contents, atomically at one phase of the shared clock. On return the
 // set has one more shard and identical contents. It fails with
-// ErrSplitTooSmall when the shard holds fewer than two keys and
-// ErrRelaxedRebalance on relaxed sets.
+// ErrSplitTooSmall when the shard holds fewer than two keys.
 func (s *Set) Split(i int) error {
-	if s.clock == nil {
-		return ErrRelaxedRebalance
-	}
 	return s.splitTable(s.tab.Load(), i)
 }
 
@@ -86,9 +77,6 @@ func (s *Set) splitTable(tab *table, i int) error {
 // shared clock. On return the set has one fewer shard and identical
 // contents.
 func (s *Set) Merge(i int) error {
-	if s.clock == nil {
-		return ErrRelaxedRebalance
-	}
 	return s.mergeTable(s.tab.Load(), i)
 }
 
@@ -287,14 +275,10 @@ type Rebalancer struct {
 	ewma    []float64 // decayed per-shard ops/tick
 }
 
-// NewRebalancer returns a rebalancer for s. Fails on relaxed sets, which
-// cannot migrate.
-func NewRebalancer(s *Set, cfg RebalanceConfig) (*Rebalancer, error) {
-	if s.clock == nil {
-		return nil, ErrRelaxedRebalance
-	}
+// NewRebalancer returns a rebalancer for s.
+func NewRebalancer(s *Set, cfg RebalanceConfig) *Rebalancer {
 	cfg.setDefaults()
-	return &Rebalancer{s: s, cfg: cfg}, nil
+	return &Rebalancer{s: s, cfg: cfg}
 }
 
 // Tick samples per-shard load and performs at most one migration,
@@ -360,12 +344,9 @@ func (r *Rebalancer) Tick() string {
 // AutoRebalance starts a background goroutine that Ticks a Rebalancer
 // every cfg.Interval until the returned stop function is called (stop is
 // idempotent and waits for the goroutine to exit, so no migration is in
-// flight after it returns). Fails on relaxed sets.
-func (s *Set) AutoRebalance(cfg RebalanceConfig) (stop func(), err error) {
-	r, err := NewRebalancer(s, cfg)
-	if err != nil {
-		return nil, err
-	}
+// flight after it returns).
+func (s *Set) AutoRebalance(cfg RebalanceConfig) (stop func()) {
+	r := NewRebalancer(s, cfg)
 	done := make(chan struct{})
 	finished := make(chan struct{})
 	go func() {
@@ -385,5 +366,5 @@ func (s *Set) AutoRebalance(cfg RebalanceConfig) (stop func(), err error) {
 	return func() {
 		once.Do(func() { close(done) })
 		<-finished
-	}, nil
+	}
 }

@@ -100,20 +100,9 @@ func TestMergePreservesContents(t *testing.T) {
 	}
 }
 
-// TestRebalanceErrors: relaxed sets cannot migrate, bad indexes and
-// too-small shards are rejected, and a failed split changes nothing.
+// TestRebalanceErrors: bad indexes and too-small shards are rejected,
+// and a failed split changes nothing.
 func TestRebalanceErrors(t *testing.T) {
-	r := NewRange(0, 99, 2, WithRelaxedScans())
-	if err := r.Split(0); !errors.Is(err, ErrRelaxedRebalance) {
-		t.Fatalf("relaxed Split error = %v", err)
-	}
-	if err := r.Merge(0); !errors.Is(err, ErrRelaxedRebalance) {
-		t.Fatalf("relaxed Merge error = %v", err)
-	}
-	if _, err := NewRebalancer(r, RebalanceConfig{}); !errors.Is(err, ErrRelaxedRebalance) {
-		t.Fatalf("relaxed NewRebalancer error = %v", err)
-	}
-
 	s := NewRange(0, 99, 2)
 	s.Insert(10)
 	if err := s.Split(0); !errors.Is(err, ErrSplitTooSmall) {
@@ -295,10 +284,7 @@ func TestRebalancerSplitsHotMergesCold(t *testing.T) {
 	for k := int64(0); k < 1<<16; k += 16 {
 		s.Insert(k)
 	}
-	rb, err := NewRebalancer(s, RebalanceConfig{MaxShards: 8, MinTickOps: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rb := NewRebalancer(s, RebalanceConfig{MaxShards: 8, MinTickOps: 64})
 	hammer := func(lo, hi int64, n int) {
 		rng := workload.NewRNG(7)
 		for i := 0; i < n; i++ {
@@ -355,10 +341,7 @@ func TestAutoRebalanceUnderSkew(t *testing.T) {
 	for k := int64(0); k < keyRange; k += 8 {
 		s.Insert(k)
 	}
-	stop, err := s.AutoRebalance(RebalanceConfig{Interval: 2 * time.Millisecond, MaxShards: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
+	stop := s.AutoRebalance(RebalanceConfig{Interval: 2 * time.Millisecond, MaxShards: 16})
 	var done atomic.Bool
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {

@@ -13,9 +13,10 @@
 // Point operations (Insert/Delete/Find) route to the owning shard and
 // keep the underlying tree's guarantees unchanged: they are linearizable
 // and non-blocking, because any two operations on the same key always
-// meet in the same core.Tree. Cross-shard scans and snapshots are
-// composed per shard and carry deliberately relaxed semantics, spelled
-// out on Set.RangeScanFunc and Set.Snapshot and in DESIGN.md §5.2.
+// meet in the same core.Tree. Cross-shard scans and snapshots open one
+// phase on the clock all shards share and read every covered shard at
+// it: one atomic cut of the whole set, linearizable as the paper's
+// single-tree scan (Set.RangeScanFunc, Set.Snapshot, DESIGN.md §5.2).
 package shard
 
 import (

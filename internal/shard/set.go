@@ -60,25 +60,19 @@ func (l *shardLoad) total() uint64 {
 // route to the shard owning the key and inherit that tree's
 // linearizability and non-blocking progress unchanged.
 //
-// By default the trees share ONE phase clock (core.Clock), so a range
-// scan or snapshot spanning shards opens a single phase and takes every
-// shard's wait-free cut at that same phase — one atomic cut of the whole
-// set, with the paper's linearizable-scan guarantee intact across shard
-// boundaries (DESIGN.md §5.2). WithRelaxedScans restores the older
-// per-shard-clock composition, whose cross-shard scans are only
-// serializable; it exists so the cost of atomicity stays measurable
-// (experiment E13).
+// The trees share ONE phase clock (core.Clock), so a range scan or
+// snapshot spanning shards opens a single phase and takes every shard's
+// wait-free cut at that same phase — one atomic cut of the whole set,
+// with the paper's linearizable-scan guarantee intact across shard
+// boundaries (DESIGN.md §5.2).
 //
 // The shard map is not fixed: Split, Merge and AutoRebalance replace
 // shards online (DESIGN.md §7). Migration swaps an immutable routing
 // table behind an atomic pointer, so reads never lock; updates to a
-// shard being replaced briefly yield until the swap lands. Relaxed sets
-// have no shared clock to cut a migration with, so they cannot
-// rebalance. All methods are safe for concurrent use.
+// shard being replaced briefly yield until the swap lands. All methods
+// are safe for concurrent use.
 type Set struct {
-	// clock is the phase clock shared by every shard; nil in relaxed
-	// mode, where each tree keeps a private clock and cross-shard reads
-	// take per-shard cuts at successive phases.
+	// clock is the phase clock shared by every shard (never nil).
 	clock *core.Clock
 
 	tab atomic.Pointer[table]
@@ -110,47 +104,22 @@ type Set struct {
 	vgVals []int
 }
 
-// Option configures a Set at construction.
-type Option func(*config)
-
-type config struct{ relaxed bool }
-
-// WithRelaxedScans gives every shard a private phase clock instead of
-// one shared clock. Cross-shard scans and snapshots then take per-shard
-// cuts at successive instants: serializable, reads-each-key-once, but
-// NOT one atomic cut (two updates racing the scan from opposite sides of
-// a shard boundary are observable out of order — DESIGN.md §5.2). In
-// exchange, scans in one shard never handshake with updates in another.
-// Relaxed sets cannot rebalance (no shared clock to take the migration
-// cut with). Use only when that isolation is worth the anomaly; E13
-// measures the trade.
-func WithRelaxedScans() Option {
-	return func(c *config) { c.relaxed = true }
-}
-
 // New returns an empty set of p shards partitioning the full key space.
-func New(p int, opts ...Option) *Set {
-	return NewRange(core.MinKey, core.MaxKey, p, opts...)
+func New(p int) *Set {
+	return NewRange(core.MinKey, core.MaxKey, p)
 }
 
 // NewRange returns an empty set of p shards whose boundaries split
 // [lo, hi] evenly (edge shards absorb the rest of the key space), so a
-// workload concentrated on [lo, hi] spreads across all p shards. Unless
-// WithRelaxedScans is given, all p trees share one phase clock, making
-// cross-shard scans and snapshots single atomic cuts.
-func NewRange(lo, hi int64, p int, opts ...Option) *Set {
-	var cfg config
-	for _, o := range opts {
-		o(&cfg)
-	}
+// workload concentrated on [lo, hi] spreads across all p shards. All p
+// trees share one phase clock, making cross-shard scans and snapshots
+// single atomic cuts.
+func NewRange(lo, hi int64, p int) *Set {
 	r := NewRouterRange(lo, hi, p)
-	s := &Set{}
-	if !cfg.relaxed {
-		s.clock = core.NewClock()
-	}
+	s := &Set{clock: core.NewClock()}
 	trees := make([]*core.Tree, r.Shards())
 	for i := range trees {
-		trees[i] = core.NewWithClock(s.clock) // nil clock → private clock per tree
+		trees[i] = core.NewWithClock(s.clock)
 	}
 	s.tab.Store(&table{r: r, trees: trees, loads: make([]shardLoad, len(trees))})
 	return s
@@ -170,9 +139,6 @@ func (s *Set) Router() Router { return s.tab.Load().r }
 // +1 per completed migration (split or merge).
 func (s *Set) Generation() uint64 { return s.tab.Load().gen }
 
-// Relaxed reports whether the set was built with WithRelaxedScans.
-func (s *Set) Relaxed() bool { return s.clock == nil }
-
 // Insert adds k, reporting whether it was absent. Linearizable and
 // non-blocking: it is a PNB-BST insert on the owning shard, routed by
 // Apply.
@@ -190,12 +156,10 @@ func (s *Set) Delete(k int64) bool {
 
 // Apply runs one point operation on the shard owning its key and
 // reports its result and deciding phase (core.Map.TryApplyOps). For an
-// effective Insert or Delete the phase is the exact commit phase; with
-// the shared clock it is comparable across every shard and every
-// migration cut, which is what durability's WAL stamps records with
-// (internal/persist). On relaxed sets the phase belongs to the owning
-// shard's private clock and is NOT comparable across shards. If a
-// migration seals the owning shard mid-operation, the op re-routes
+// effective Insert or Delete the phase is the exact commit phase on the
+// shared clock, comparable across every shard and every migration cut,
+// which is what durability's WAL stamps records with (internal/persist).
+// If a migration seals the owning shard mid-operation, the op re-routes
 // through the replacement table, yielding until the swap publishes it.
 //
 // The op runs as a batch of one on stack arrays, so it allocates
@@ -215,18 +179,11 @@ func (s *Set) Apply(op core.BatchOp) (res bool, phase uint64) {
 	}
 }
 
-// AdvanceClock raises the shared phase clock to at least p, reporting
-// whether the set has one (false on relaxed sets, where there is no
-// single clock to advance). Durability recovery calls this before the
-// set accepts traffic so that every new commit phase exceeds every phase
-// the previous process persisted (core.Clock.AdvanceTo).
-func (s *Set) AdvanceClock(p uint64) bool {
-	if s.clock == nil {
-		return false
-	}
-	s.clock.AdvanceTo(p)
-	return true
-}
+// AdvanceClock raises the shared phase clock to at least p. Durability
+// recovery calls this before the set accepts traffic so that every new
+// commit phase exceeds every phase the previous process persisted
+// (core.Clock.AdvanceTo).
+func (s *Set) AdvanceClock(p uint64) { s.clock.AdvanceTo(p) }
 
 // Find reports whether k is present. Linearizable and non-blocking.
 // Reads never wait on migrations: a sealed shard still answers (its last
@@ -336,15 +293,9 @@ func (s *Set) versionGraphs(tab *table) []int {
 	return vals
 }
 
-// ClockNow returns the current phase of the shared clock, or false for
-// a relaxed (clockless) set. Observability stamps drain and slow-op
-// events with it.
-func (s *Set) ClockNow() (uint64, bool) {
-	if s.clock == nil {
-		return 0, false
-	}
-	return s.clock.Now(), true
-}
+// ClockNow returns the current phase of the shared clock. Observability
+// stamps drain and slow-op events with it.
+func (s *Set) ClockNow() uint64 { return s.clock.Now() }
 
 // openPhase opens one atomic cut across shards [first, last] of tab: it
 // registers a reader on every covered shard — pinning each shard's
@@ -399,7 +350,7 @@ func releaseAll(regs []core.Registration) {
 // table, open one phase over them (openPhase), run body at that phase,
 // release. A cover returning first > last skips the read entirely (no
 // phase is opened); a failed revalidation re-resolves against the new
-// table. Callers must not call this in relaxed mode (no shared clock).
+// table.
 func (s *Set) atomicCut(cover func(*table) (first, last int), body func(tab *table, seq uint64, first, last int)) {
 	for {
 		tab := s.tab.Load()
@@ -420,13 +371,11 @@ func (s *Set) atomicCut(cover func(*table) (first, last int), body func(tab *tab
 // RangeScanFunc visits every key in [a, b] in ascending order, calling
 // visit for each; visit returning false stops early.
 //
-// Cross-shard semantics (default, shared clock): the scan opens ONE
-// phase s and reconstructs T_s of every covered shard, in ascending key
-// order — a single atomic cut of the whole set, linearized at the
-// clock's increment exactly as the paper's single-tree scan. Wait-free,
-// and immune to concurrent rebalancing (openPhase). With
-// WithRelaxedScans the per-shard cuts are taken at successive instants
-// instead and the composite is only serializable (DESIGN.md §5.2).
+// Cross-shard semantics: the scan opens ONE phase s on the shared clock
+// and reconstructs T_s of every covered shard, in ascending key order —
+// a single atomic cut of the whole set, linearized at the clock's
+// increment exactly as the paper's single-tree scan. Wait-free, and
+// immune to concurrent rebalancing (openPhase).
 func (s *Set) RangeScanFunc(a, b int64, visit func(k int64) bool) {
 	stopped := false
 	wrapped := func(k int64) bool {
@@ -434,18 +383,6 @@ func (s *Set) RangeScanFunc(a, b int64, visit func(k int64) bool) {
 			stopped = true
 		}
 		return !stopped
-	}
-	if s.clock == nil { // relaxed: successive per-shard phases
-		tab := s.tab.Load()
-		first, last := tab.r.Covering(a, b)
-		if first > last {
-			return
-		}
-		s.scans.Add(1)
-		for i := first; i <= last && !stopped; i++ {
-			tab.trees[i].RangeScanFunc(a, b, wrapped)
-		}
-		return
 	}
 	s.atomicCut(
 		func(tab *table) (int, int) { return tab.r.Covering(a, b) },
@@ -471,19 +408,6 @@ func (s *Set) RangeScan(a, b int64) []int64 {
 // RangeCount returns the number of keys in [a, b] without allocating.
 // Semantics as RangeScanFunc.
 func (s *Set) RangeCount(a, b int64) int {
-	if s.clock == nil {
-		tab := s.tab.Load()
-		first, last := tab.r.Covering(a, b)
-		if first > last {
-			return 0
-		}
-		s.scans.Add(1)
-		n := 0
-		for i := first; i <= last; i++ {
-			n += tab.trees[i].RangeCount(a, b)
-		}
-		return n
-	}
 	n := 0
 	s.atomicCut(
 		func(tab *table) (int, int) { return tab.r.Covering(a, b) },
@@ -501,19 +425,9 @@ func (s *Set) Keys() []int64 { return s.RangeScan(core.MinKey, core.MaxKey) }
 // Len returns the number of keys (semantics as RangeScanFunc).
 func (s *Set) Len() int { return s.RangeCount(core.MinKey, core.MaxKey) }
 
-// Min returns the smallest key, if any. With the shared clock the probe
-// is one atomic cut over all shards.
+// Min returns the smallest key, if any. The probe is one atomic cut over
+// all shards.
 func (s *Set) Min() (int64, bool) {
-	if s.clock == nil {
-		tab := s.tab.Load()
-		s.scans.Add(1)
-		for _, t := range tab.trees {
-			if k, ok := t.Min(); ok {
-				return k, true
-			}
-		}
-		return 0, false
-	}
 	var got int64
 	found := false
 	s.atomicCut(
@@ -531,16 +445,6 @@ func (s *Set) Min() (int64, bool) {
 
 // Max returns the largest key, if any.
 func (s *Set) Max() (int64, bool) {
-	if s.clock == nil {
-		tab := s.tab.Load()
-		s.scans.Add(1)
-		for i := len(tab.trees) - 1; i >= 0; i-- {
-			if k, ok := tab.trees[i].Max(); ok {
-				return k, true
-			}
-		}
-		return 0, false
-	}
 	var got int64
 	found := false
 	s.atomicCut(
@@ -558,16 +462,6 @@ func (s *Set) Max() (int64, bool) {
 
 // Succ returns the smallest key >= k, if any.
 func (s *Set) Succ(k int64) (int64, bool) {
-	if s.clock == nil {
-		tab := s.tab.Load()
-		s.scans.Add(1)
-		for i := tab.r.Of(k); i < len(tab.trees); i++ {
-			if succ, ok := tab.trees[i].Succ(k); ok {
-				return succ, true
-			}
-		}
-		return 0, false
-	}
 	var got int64
 	found := false
 	s.atomicCut(
@@ -585,16 +479,6 @@ func (s *Set) Succ(k int64) (int64, bool) {
 
 // Pred returns the largest key <= k, if any.
 func (s *Set) Pred(k int64) (int64, bool) {
-	if s.clock == nil {
-		tab := s.tab.Load()
-		s.scans.Add(1)
-		for i := tab.r.Of(k); i >= 0; i-- {
-			if pred, ok := tab.trees[i].Pred(k); ok {
-				return pred, true
-			}
-		}
-		return 0, false
-	}
 	var got int64
 	found := false
 	s.atomicCut(
@@ -610,24 +494,13 @@ func (s *Set) Pred(k int64) (int64, bool) {
 	return got, found
 }
 
-// Snapshot returns a composite of per-shard wait-free snapshots. With
-// the shared clock (default) all per-shard snapshots capture the SAME
-// phase — the composite is one atomic cut of the whole set, frozen at
-// the clock's increment. With WithRelaxedScans the per-shard cuts are
-// taken at successive instants (DESIGN.md §5.2). Either way reads of the
-// returned Snapshot are stable: repeated reads always observe the same
+// Snapshot returns a composite of per-shard wait-free snapshots, all
+// capturing the SAME phase of the shared clock — one atomic cut of the
+// whole set, frozen at the clock's increment. Reads of the returned
+// Snapshot are stable: repeated reads always observe the same
 // composite, even after later migrations retire the captured trees
 // (retired trees are never pruned, so the cut stays reconstructible).
 func (s *Set) Snapshot() *Snapshot {
-	if s.clock == nil {
-		tab := s.tab.Load()
-		s.scans.Add(1)
-		snaps := make([]*core.Snapshot, len(tab.trees))
-		for i, t := range tab.trees {
-			snaps[i] = t.Snapshot()
-		}
-		return &Snapshot{r: tab.r, snaps: snaps}
-	}
 	for {
 		tab := s.tab.Load()
 		seq, regs, ok := s.openPhase(tab, 0, len(tab.trees)-1)
@@ -638,7 +511,7 @@ func (s *Set) Snapshot() *Snapshot {
 		for i, t := range tab.trees {
 			snaps[i] = t.SnapshotAt(seq, regs[i]) // adopts the registration
 		}
-		return &Snapshot{r: tab.r, snaps: snaps, seq: seq, atomicCut: true}
+		return &Snapshot{r: tab.r, snaps: snaps, seq: seq}
 	}
 }
 
@@ -803,25 +676,17 @@ func (s *Set) CheckInvariants() error {
 }
 
 // Snapshot is a composite of per-shard wait-free snapshots, one per
-// shard. With the shared clock all per-shard snapshots carry the same
-// phase (Seq) and the composite is one atomic cut; see Set.Snapshot.
-// Reads are stable and wait-free.
+// shard, all carrying the same phase (Seq): one atomic cut; see
+// Set.Snapshot. Reads are stable and wait-free.
 type Snapshot struct {
-	r         Router
-	snaps     []*core.Snapshot
-	seq       uint64 // the shared phase (atomic mode only)
-	atomicCut bool   // all per-shard cuts share phase seq
-	released  atomic.Bool
+	r        Router
+	snaps    []*core.Snapshot
+	seq      uint64 // the shared phase every per-shard cut captured
+	released atomic.Bool
 }
 
-// Atomic reports whether the composite is a single atomic cut (shared
-// clock) rather than a stitch of per-shard cuts (relaxed mode).
-func (s *Snapshot) Atomic() bool { return s.atomicCut }
-
-// Seq returns the phase captured by every per-shard cut, and whether
-// that single phase exists (false for snapshots of relaxed sets, whose
-// shards captured unrelated per-clock phases).
-func (s *Snapshot) Seq() (uint64, bool) { return s.seq, s.atomicCut }
+// Seq returns the phase captured by every per-shard cut.
+func (s *Snapshot) Seq() uint64 { return s.seq }
 
 // mustLive fails fast at the call site when a released composite is
 // read; without it the misuse would surface only as an opaque

@@ -142,8 +142,7 @@ func (c *Client) Pred(k int64) (int64, bool, error) { return c.doKey(OpPred, k) 
 // Scan streams the keys in [a, b] in ascending order to visit and
 // returns the server-reported total. The server serves the whole scan
 // from ONE phase-clock cut, so the delivered sequence is an atomic
-// snapshot of [a, b] exactly like an in-process RangeScan (on an atomic
-// sharded store; see bst.RelaxedScans for the opt-out). There is no
+// snapshot of [a, b] exactly like an in-process RangeScan. There is no
 // client-side cancel: when visit returns false the remaining chunks are
 // still drained (cheap — the stream is already in flight), only the
 // callbacks stop.
