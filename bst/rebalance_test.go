@@ -108,10 +108,14 @@ func TestShardedAutoRebalance(t *testing.T) {
 			snap.Release()
 		}
 	}()
-	time.Sleep(250 * time.Millisecond)
+	// Poll rather than sleep a fixed window: under the race detector a
+	// short window can end before the first split.
+	for deadline := time.Now().Add(10 * time.Second); m.Shards() <= 2 && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+	}
+	stop()
 	done.Store(true)
 	wg.Wait()
-	stop()
 	if m.Shards() <= 2 {
 		t.Fatalf("rebalancer never split under skew: %d shards", m.Shards())
 	}

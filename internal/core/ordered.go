@@ -101,11 +101,11 @@ func (t *Map[V]) rightmostLeaf(n *node[V], seq uint64) *node[V] {
 
 // helpIfPending helps the update frozen on n, if one is in progress
 // (never the dummy, whose state is Abort). It is the help of registered
-// readers, which hold no pin: help reads the info's node references, and
-// Compact clears those in place once every pin taken before the attempt
-// was decided has drained (prune.go). So the rare help pins first and
+// readers, which hold no pin: help reads the info's body, and Compact
+// detaches and recycles it once every pin taken before the attempt was
+// decided has drained (pool.go). So the rare help pins first and
 // re-checks inProgress under the pin: an attempt still undecided then
-// cannot have its references cleared until this pin is released.
+// cannot have its body recycled until this pin is released.
 func (t *Map[V]) helpIfPending(n *node[V]) {
 	if in := n.update.Load().info; inProgress(in) {
 		t.helpPinned(n.key, in)

@@ -6,8 +6,8 @@ import (
 	"sync/atomic"
 )
 
-// This file implements post-horizon memory recycling for nodes and the
-// in-place clearing of decided infos.
+// This file implements post-horizon memory recycling for nodes and for
+// the bodies of decided infos.
 //
 // Reclamation happens in three stages, all driven by Compact (prune.go):
 //
@@ -30,24 +30,30 @@ import (
 //     have seen the batch's memory has finished (sync/atomic's seq-cst
 //     total order makes the cut-store → zero-load → pin-add →
 //     traversal-load chain airtight), so the nodes are poisoned and
-//     pushed to the per-tree node pool, and the infos have their node
-//     references cleared in place.
+//     pushed to the per-tree node pool, and the infos have their bodies
+//     detached, zeroed and pushed to the per-tree body pool.
 //
-// Infos are cleared, never pooled: live nodes keep pointing at a decided
-// info through their update fields for as long as they live, so its
-// address must keep naming that one attempt. Only infos that were never
-// published (their first freeze CAS failed) return to the info pool.
+// Info headers are never pooled once published: live nodes keep pointing
+// at a decided info through their update fields for as long as they
+// live, so its address must keep naming that one attempt. Only infos that
+// were never published (their first freeze CAS failed) return to the
+// info pool, header and body together. A body is read only by help while
+// its attempt is undecided (help returns from the header's state alone
+// once it is decided) and by the drain, so after the pin drain nothing
+// can read a detached body through its old header.
 //
 // Why this preserves the paper's no-ABA argument (Lemma 7): a freeze CAS
 // succeeds spuriously only if its expected *descriptor is re-installed at
-// the same address. Descriptors live inside infos, and no published info
-// is ever handed out again, so that cannot happen through infos. A node
-// address re-enters circulation only after (a) the horizon passed every
-// registered reader and (b) the pin drain proved no unregistered
-// traversal from before the cut is still running; any CAS issued after
-// that is by a traversal that pinned after the drain, whose targets were
-// therefore read after the recycled node left the tree. DESIGN.md §10
-// has the full argument, including the suspended-helper case.
+// the same address. Descriptors live inside info headers, and no
+// published header is ever handed out again, so that cannot happen
+// through infos. A node address or an info body re-enters circulation
+// only after (a) the horizon passed every registered reader and (b) the
+// pin drain proved no unregistered traversal from before the cut is
+// still running; any CAS issued after that is by a traversal that pinned
+// after the drain, whose targets were therefore read after the recycled
+// node left the tree, and any help issued after that sees the attempt
+// decided. DESIGN.md §10 has the full argument, including the
+// suspended-helper case.
 
 // poisonSeq is stored in the seq bits of a recycled node's seqLeaf while
 // it sits in the pool: larger than any real phase, so a stale readChild
@@ -95,7 +101,7 @@ func (p *pinTable) exit(i int) {
 // unreachable from any in-flight traversal.
 type limboBatch[V any] struct {
 	nodes   []*node[V] // marked nodes of drained commits: poisoned and pooled
-	infos   []*info[V] // drained attempt infos: node references cleared in place
+	infos   []*info[V] // drained attempt infos: bodies detached and pooled
 	waiting uint64     // bit i set ⇒ stripe i not yet observed idle since the batch's cuts
 }
 
@@ -132,8 +138,16 @@ type poolState[V any] struct {
 	ripe  []*limboBatch[V] // drained, recycled at the end of the pass
 	spare []*limboBatch[V] // emptied batches whose slices the next drains reuse
 
-	nodes sync.Pool // of *node, poisoned
-	infos sync.Pool // of *info, cleared and never published
+	nodes  sync.Pool // of *node, poisoned
+	infos  sync.Pool // of *info, never published, with a zeroed body attached
+	bodies sync.Pool // of *infoBody, zeroed, detached from drained infos
+}
+
+// infoAlloc is an info header allocated together with its body: newInfo's
+// single allocation when pooling is off.
+type infoAlloc[V any] struct {
+	hdr  info[V]
+	body infoBody[V]
 }
 
 // SetPooling enables or disables node/info recycling. It defaults to on;
@@ -141,7 +155,7 @@ type poolState[V any] struct {
 // tests that need deterministic allocation counts. Turning pooling off
 // stops both reuse and limbo collection of nodes (garbage reverts to the
 // GC); objects already in the pools are simply never handed out again.
-// Drained infos are cleared either way.
+// Drained infos have their bodies detached and zeroed either way.
 func (t *Map[V]) SetPooling(on bool) { t.pool.pooling.Store(on) }
 
 // PoolingEnabled reports whether node/info recycling is on.
@@ -186,15 +200,28 @@ func (t *Map[V]) newNode(key int64, seq uint64, prev *node[V], leaf bool) *node[
 }
 
 // newInfo hands out an info in state ⊥ with its embedded flag/mark
-// descriptors wired to itself. Pooled infos come back fully cleared.
+// descriptors wired to itself and a zeroed body attached. With pooling
+// on, an unpublished info is reused whole; otherwise a fresh 48 B header
+// gets a pooled body if there is one. With pooling off, header and body
+// are one allocation.
 func (t *Map[V]) newInfo() *info[V] {
-	if t.pool.pooling.Load() {
-		if v := t.pool.infos.Get(); v != nil {
+	var in *info[V]
+	if !t.pool.pooling.Load() {
+		a := new(infoAlloc[V])
+		in = &a.hdr
+		in.body = &a.body
+	} else if v := t.pool.infos.Get(); v != nil {
+		t.stats.poolInfoHits.Add(1)
+		return v.(*info[V])
+	} else {
+		in = new(info[V])
+		if v := t.pool.bodies.Get(); v != nil {
 			t.stats.poolInfoHits.Add(1)
-			return v.(*info[V])
+			in.body = v.(*infoBody[V])
+		} else {
+			in.body = new(infoBody[V])
 		}
 	}
-	in := new(info[V])
 	in.flagD = descriptor[V]{typ: flag, info: in}
 	in.markD = descriptor[V]{typ: mark, info: in}
 	return in
@@ -202,14 +229,13 @@ func (t *Map[V]) newInfo() *info[V] {
 
 // recycleUnpublished returns an info whose first freeze CAS failed: it
 // was never installed anywhere, so no other goroutine can hold a
-// reference and it is immediately reusable.
+// reference and it is immediately reusable, header and body together.
 func (t *Map[V]) recycleUnpublished(in *info[V]) {
 	if !t.pool.pooling.Load() {
 		return
 	}
-	clearInfo(in)
+	*in.body = infoBody[V]{}
 	in.state.Store(stateUndecided)
-	in.nn, in.markMask, in.delta, in.seq = 0, 0, 0, 0
 	t.pool.infos.Put(in)
 	t.stats.poolInfoPuts.Add(1)
 }
@@ -220,20 +246,25 @@ func (t *Map[V]) recycleUnpublished(in *info[V]) {
 func (t *Map[V]) retire(in *info[V]) {
 	for {
 		head := t.pool.retired.Load()
-		in.retireNext = head
+		in.body.retireNext = head
 		if t.pool.retired.CompareAndSwap(head, in) {
 			return
 		}
 	}
 }
 
-// clearInfo drops an info's node references. For a drained info the
-// caller must have proved that no helper which saw the attempt undecided
-// is still running (the pin drain): help reads these fields only then.
-func clearInfo[V any](in *info[V]) {
-	in.nodes = [maxFreeze]*node[V]{}
-	in.oldUpdate = [maxFreeze]*descriptor[V]{}
-	in.par, in.oldChild, in.newChild = nil, nil, nil
+// recycleBody detaches a drained info's body, zeroes it and, with pooling
+// on, pools it. The caller must have proved that no helper which saw the
+// attempt undecided is still running (the pin drain): help reads the body
+// only then, and a later help sees the header's decided state and stops.
+func (t *Map[V]) recycleBody(in *info[V]) {
+	b := in.body
+	in.body = nil
+	*b = infoBody[V]{}
+	if t.pool.pooling.Load() {
+		t.pool.bodies.Put(b)
+		t.stats.poolInfoPuts.Add(1)
+	}
 }
 
 // poisonAndPutNode severs a drained node's references, zeroes its value
@@ -321,12 +352,12 @@ func (t *Map[V]) ripen() {
 	t.pool.limbo = kept
 }
 
-// recycleRipe clears the ripe batches' infos in place and pools their
+// recycleRipe recycles the ripe batches' info bodies and pools their
 // nodes, returning how many of each it handled.
 func (t *Map[V]) recycleRipe() (nodes, infos int) {
 	for i, b := range t.pool.ripe {
 		for _, in := range b.infos {
-			clearInfo(in)
+			t.recycleBody(in)
 		}
 		for _, n := range b.nodes {
 			t.poisonAndPutNode(n)

@@ -12,10 +12,11 @@ package core
 // attempt marked — Insert's and Put's leaf, Delete's parent, leaf and
 // sibling: a marked node left the tree at seq, its only parent slot now
 // leads to newChild, and every older parent it had was itself marked at a
-// phase <= seq (DESIGN.md §6.2). Those nodes, and the drained infos, go to the
-// limbo → pin-drain → pool pipeline (pool.go). An aborted attempt changed
-// nothing in the tree; its info is drained at once. An attempt above the
-// horizon (or, defensively, still undecided) waits for a later pass.
+// phase <= seq (DESIGN.md §6.2). Those nodes, and the drained infos'
+// bodies, go to the limbo → pin-drain → pool pipeline (pool.go). An
+// aborted attempt changed nothing in the tree; its info is drained at
+// once. An attempt above the horizon (or, defensively, still undecided)
+// waits for a later pass.
 //
 // What a cut may and may not remove (DESIGN.md §6): it only unlinks
 // versions strictly behind a phase-<=H node and never relinks a chain
@@ -36,7 +37,7 @@ type CompactStats struct {
 	RetiredInfos  uint64 // attempt infos drained from the retire stack
 	GarbageNodes  int    // nodes this pass moved into limbo (0 with pooling off)
 	RecycledNodes int    // limbo nodes whose pin drain completed and entered the pool
-	RecycledInfos int    // limbo infos whose pin drain completed and were cleared in place
+	RecycledInfos int    // limbo infos whose pin drain completed and whose bodies were detached and recycled
 }
 
 // Compact prunes all versions behind the current reclamation horizon,
@@ -103,8 +104,8 @@ func (t *Map[V]) drainRetired(h uint64, cs *CompactStats) {
 	clear(p.pending[len(kept):])
 	p.pending = kept
 	for in := p.retired.Swap(nil); in != nil; {
-		next := in.retireNext
-		in.retireNext = nil // a cleared info must not retain the rest of the stack
+		next := in.body.retireNext
+		in.body.retireNext = nil // a pending info must not retain the rest of the stack
 		if !t.drainInfo(in, h, b, cs) {
 			p.pending = append(p.pending, in)
 		}
@@ -117,22 +118,23 @@ func (t *Map[V]) drainRetired(h uint64, cs *CompactStats) {
 // drainInfo drains one popped info into batch b if its attempt is decided
 // and, for a commit, at or below the horizon; it reports whether it did.
 func (t *Map[V]) drainInfo(in *info[V], h uint64, b *limboBatch[V], cs *CompactStats) bool {
+	body := in.body
 	switch in.state.Load() {
 	case stateCommit:
-		if in.seq > h {
+		if body.seq > h {
 			return false
 		}
-		if in.newChild.prev.Swap(nil) != nil {
+		if body.newChild.prev.Swap(nil) != nil {
 			cs.PrunedLinks++
 		}
 		if t.pool.pooling.Load() {
-			for i := 0; i < int(in.nn); i++ {
-				if in.markMask&(1<<uint(i)) != 0 {
-					b.nodes = append(b.nodes, in.nodes[i])
+			for i := 0; i < int(body.nn); i++ {
+				if body.markMask&(1<<uint(i)) != 0 {
+					b.nodes = append(b.nodes, body.nodes[i])
 				}
 			}
 		}
-		t.pool.liveNodes += int(in.delta)
+		t.pool.liveNodes += int(body.delta)
 	case stateAbort:
 	default:
 		return false

@@ -11,7 +11,7 @@ import (
 )
 
 // Tests for the retire-stack drain (prune.go): a differential oracle
-// against the whole-graph walk it replaced, in-place clearing of drained
+// against the whole-graph walk it replaced, body recycling of drained
 // infos, and the layout and allocation pins the change is for.
 
 // compactFull is the whole-graph pruner Compact used before the retire
@@ -225,10 +225,11 @@ func compareDrainWithWalk[V any](t *testing.T, drained, walked *Map[V], update f
 	}
 }
 
-// TestDrainedInfoClearedAfterPinnedHelper: a drained info keeps its node
-// references while a pin taken before its attempt was decided is held
-// (a helper inside help may still read them), and the first pass after
-// the unpin clears them in place.
+// TestDrainedInfoClearedAfterPinnedHelper: a drained info keeps its body
+// attached while a pin taken before its attempt was decided is held (a
+// helper inside help may still read it), its header's state stays intact
+// throughout, and the first pass after the unpin detaches the body,
+// zeroes it and leaves the header answering from its state alone.
 func TestDrainedInfoClearedAfterPinnedHelper(t *testing.T) {
 	tr := New()
 	for k := int64(0); k < 16; k++ {
@@ -241,37 +242,90 @@ func TestDrainedInfoClearedAfterPinnedHelper(t *testing.T) {
 		t.Fatal("Delete(7) failed")
 	}
 	in := tr.pool.retired.Load()
-	if in == nil || in.state.Load() != stateCommit || in.delta != -2 {
+	if in == nil || in.state.Load() != stateCommit || in.body.delta != -2 {
 		t.Fatal("the committed delete's info is not on top of the retire stack")
 	}
+	body := in.body
 	cs := tr.Compact()
 	if cs.RetiredInfos != 1 || cs.PrunedLinks != 1 || cs.GarbageNodes != 3 {
 		t.Fatalf("draining one delete: %+v, want 1 info, 1 cut, 3 garbage nodes", cs)
 	}
-	if cs.RecycledInfos != 0 || in.nodes[0] == nil || in.par == nil || in.oldChild == nil || in.newChild == nil {
-		t.Fatalf("info cleared while a pin from before its decision was held: %+v", cs)
+	if cs.RecycledInfos != 0 || in.body != body {
+		t.Fatalf("body detached while a pin from before its decision was held: %+v", cs)
 	}
-	if in.newChild.prev.Load() != nil {
+	if body.nodes[0] == nil || body.par == nil || body.oldChild == nil || body.newChild == nil ||
+		body.nn != 4 || body.markMask != 1<<1|1<<2|1<<3 {
+		t.Fatal("body changed while a pin from before its decision was held")
+	}
+	if body.newChild.prev.Load() != nil {
 		t.Fatal("drain did not cut newChild.prev")
+	}
+	if in.state.Load() != stateCommit || !tr.help(in) {
+		t.Fatal("header state changed while the pinned helper ran")
 	}
 
 	tr.pool.pins.exit(s)
 	cs = tr.Compact()
 	if cs.RecycledInfos != 1 || cs.RecycledNodes != 3 {
-		t.Fatalf("pass after the unpin: %+v, want 1 info cleared and 3 nodes pooled", cs)
+		t.Fatalf("pass after the unpin: %+v, want 1 body recycled and 3 nodes pooled", cs)
 	}
-	if in.nodes != [maxFreeze]*node[struct{}]{} || in.oldUpdate != [maxFreeze]*descriptor[struct{}]{} ||
-		in.par != nil || in.oldChild != nil || in.newChild != nil || in.retireNext != nil {
-		t.Fatal("drained info still holds references after its pin drain")
+	if in.body != nil {
+		t.Fatal("drained info still holds its body after its pin drain")
 	}
-	if in.state.Load() != stateCommit || in.nn != 4 || in.markMask != 1<<1|1<<2|1<<3 {
-		t.Fatal("clearing touched the fields readers of a decided info still consult")
+	if *body != (infoBody[struct{}]{}) {
+		t.Fatal("recycled body still holds references")
+	}
+	if in.state.Load() != stateCommit || in.flagD.info != in || in.markD.info != in || in.markD.typ != mark {
+		t.Fatal("recycling touched the header readers of a decided info still consult")
 	}
 	if tr.Find(7) || !tr.Find(6) || !tr.Find(8) {
-		t.Fatal("tree contents wrong after clearing")
+		t.Fatal("tree contents wrong after recycling")
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHelpDecidedInfoWithoutBody: validateLink on a node marked by a
+// committed attempt whose body was already recycled fails (the committed
+// mark is permanent) and help answers from the header's state alone, for
+// a commit and an abort, without touching the detached body.
+func TestHelpDecidedInfoWithoutBody(t *testing.T) {
+	tr := New()
+	for k := int64(0); k < 8; k++ {
+		tr.Insert(k)
+	}
+	tr.Compact()
+	if !tr.Delete(3) {
+		t.Fatal("Delete(3) failed")
+	}
+	in := tr.pool.retired.Load()
+	if cs := tr.Compact(); cs.RecycledInfos != 1 || in.body != nil {
+		t.Fatalf("quiescent pass did not recycle the delete's body: %+v", cs)
+	}
+	if in.state.Load() != stateCommit {
+		t.Fatal("the delete did not commit")
+	}
+
+	n := tr.newNode(10, tr.phase(), nil, false)
+	c := tr.newLeaf(9, tr.phase())
+	n.left.Store(c)
+	n.update.Store(&in.markD)
+	if ok, up := tr.validateLink(n, c, true); ok || up != nil {
+		t.Fatal("validateLink passed a link under a committed mark")
+	}
+	if !tr.help(in) {
+		t.Fatal("help on a committed info without a body reported no commit")
+	}
+
+	ab := &info[struct{}]{}
+	ab.state.Store(stateAbort)
+	ab.markD = descriptor[struct{}]{typ: mark, info: ab}
+	if tr.help(ab) {
+		t.Fatal("help on an aborted info without a body reported a commit")
+	}
+	if ok, _ := tr.validateLink(n, c, true); ok {
+		t.Fatal("validateLink passed a link under a committed mark after helping")
 	}
 }
 
@@ -279,6 +333,14 @@ func TestDrainedInfoClearedAfterPinnedHelper(t *testing.T) {
 func TestNodeLayout(t *testing.T) {
 	if got := unsafe.Sizeof(node[struct{}]{}); got != 48 {
 		t.Fatalf("unsafe.Sizeof(node[struct{}]{}) = %d, want 48", got)
+	}
+}
+
+// TestInfoLayout pins the info header, what a decided attempt keeps for
+// as long as nodes point at it, at six words: the 48 B size class.
+func TestInfoLayout(t *testing.T) {
+	if got := unsafe.Sizeof(info[struct{}]{}); got != 48 {
+		t.Fatalf("unsafe.Sizeof(info[struct{}]{}) = %d, want 48", got)
 	}
 }
 

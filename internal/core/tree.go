@@ -81,7 +81,7 @@ func newMap[V any](c *Clock) *Map[V] {
 		c = NewClock()
 	}
 	t := &Map[V]{clock: c}
-	dummyInfo := &info[V]{} // reference-free and never on the retire stack
+	dummyInfo := &info[V]{} // bodiless, decided and never on the retire stack
 	dummyInfo.flagD = descriptor[V]{typ: flag, info: dummyInfo}
 	dummyInfo.markD = descriptor[V]{typ: mark, info: dummyInfo}
 	dummyInfo.state.Store(stateAbort)
@@ -446,15 +446,8 @@ func (t *Map[V]) execute(nodes [maxFreeze]*node[V], oldUpdate [maxFreeze]*descri
 		}
 	}
 	in := t.newInfo()
-	in.nodes = nodes
-	in.oldUpdate = oldUpdate
-	in.nn = nn
-	in.markMask = markMask
-	in.par = par
-	in.oldChild = oldChild
-	in.newChild = newChild
-	in.seq = seq
-	in.delta = delta
+	*in.body = infoBody[V]{nn: nn, markMask: markMask, delta: delta, nodes: nodes, oldUpdate: oldUpdate,
+		par: par, oldChild: oldChild, newChild: newChild, seq: seq}
 	if nodes[0].update.CompareAndSwap(oldUpdate[0], &in.flagD) { // freeze (flag) CAS
 		ok := t.help(in)
 		t.retire(in)
@@ -466,14 +459,23 @@ func (t *Map[V]) execute(nodes [maxFreeze]*node[V], oldUpdate [maxFreeze]*descri
 	return false
 }
 
-// help implements Help (lines 107-128). It first performs the handshaking
-// check: if the phase counter moved past in.seq, a scan may already have
-// traversed the region this attempt would modify, so the attempt aborts
-// pro-actively (lines 111-112). Otherwise it freezes the remaining nodes,
-// applies the child CAS and commits. Any process may help any attempt;
-// only the first freeze CAS per node and the first child CAS can succeed.
+// help implements Help (lines 107-128). A decided attempt is answered from
+// its header's state alone: its body may already have been detached and
+// recycled (pool.go), and every later step would fail anyway. Otherwise it
+// first performs the handshaking check: if the phase counter moved past
+// the attempt's seq, a scan may already have traversed the region this
+// attempt would modify, so the attempt aborts pro-actively (lines
+// 111-112). Then it freezes the remaining nodes, applies the child CAS
+// and commits. Any process may help any attempt; only the first freeze
+// CAS per node and the first child CAS can succeed. The caller holds a
+// pin, so a body read here, once the attempt was seen undecided, stays
+// attached until help returns.
 func (t *Map[V]) help(in *info[V]) bool {
-	if !t.disableHandshake && t.clock.Now() != in.seq {
+	if !inProgress(in) {
+		return in.state.Load() == stateCommit
+	}
+	b := in.body
+	if !t.disableHandshake && t.clock.Now() != b.seq {
 		if in.state.CompareAndSwap(stateUndecided, stateAbort) { // abort CAS
 			t.stats.handshakeAborts.Add(1)
 		}
@@ -481,16 +483,16 @@ func (t *Map[V]) help(in *info[V]) bool {
 		in.state.CompareAndSwap(stateUndecided, stateTry) // try CAS
 	}
 	cont := in.state.Load() == stateTry
-	for i := 1; cont && i < int(in.nn); i++ {
+	for i := 1; cont && i < int(b.nn); i++ {
 		d := &in.flagD
-		if in.markMask&(1<<uint(i)) != 0 {
+		if b.markMask&(1<<uint(i)) != 0 {
 			d = &in.markD
 		}
-		in.nodes[i].update.CompareAndSwap(in.oldUpdate[i], d) // freeze CAS
-		cont = in.nodes[i].update.Load().info == in
+		b.nodes[i].update.CompareAndSwap(b.oldUpdate[i], d) // freeze CAS
+		cont = b.nodes[i].update.Load().info == in
 	}
 	if cont {
-		casChild(in.par, in.oldChild, in.newChild)
+		casChild(b.par, b.oldChild, b.newChild)
 		in.state.Store(stateCommit) // commit write
 	} else if in.state.Load() == stateTry {
 		in.state.Store(stateAbort) // abort write

@@ -38,13 +38,13 @@ const (
 // info embeds exactly one flag descriptor and one mark descriptor
 // (flagD/markD below), both pointing back at it, so installing a freeze
 // costs no allocation: the CAS installs &in.flagD or &in.markD. The
-// descriptor values are immutable, and an info that was ever published
-// is never recycled (only infos whose first freeze CAS failed return to
-// the pool, see pool.go), so a descriptor address names one attempt for
-// as long as anything can hold it and CAS on the *descriptor pointer
-// remains equivalent to CAS on the packed word: the paper's no-ABA
-// argument (Lemma 7) — every successful CAS installs a pointer to an
-// Info created after the expected value was read — holds unchanged.
+// descriptor values are immutable, and an info header that was ever
+// published is never recycled (only infos whose first freeze CAS failed
+// return to the pool, see pool.go), so a descriptor address names one
+// attempt for as long as anything can hold it and CAS on the *descriptor
+// pointer remains equivalent to CAS on the packed word: the paper's
+// no-ABA argument (Lemma 7) — every successful CAS installs a pointer to
+// an Info created after the expected value was read — holds unchanged.
 type descriptor[V any] struct {
 	typ  descType
 	info *info[V]
@@ -54,22 +54,40 @@ type descriptor[V any] struct {
 // {parent, leaf}, Delete freezes {grandparent, parent, leaf, sibling}.
 const maxFreeze = 4
 
-// info is the paper's Info object (Figure 2, lines 5-14). It describes one
-// attempt of an Insert, Put or Delete so that any process can complete (help)
-// or abort it. All fields except state are immutable between newInfo and
-// the attempt's decision.
+// info is the header of the paper's Info object (Figure 2, lines 5-14):
+// the part node update fields point at. It describes one attempt of an
+// Insert, Put or Delete so that any process can complete (help) or abort
+// it. Readers of a decided attempt consult only its state (through the
+// descriptors' types), so the header holds just that plus the body
+// pointer: six words for every V, the 48 B size class (pinned by
+// TestInfoLayout). A published header is never recycled: nodes keep
+// pointing at it through their update fields for as long as they live.
 //
-// An info's node references (nodes, oldUpdate, par, oldChild, newChild)
-// are only read by help, and only after help has seen the attempt
-// undecided; once decided they would merely retain the replaced nodes.
-// So every published info is pushed onto the tree's retire stack
-// (retireNext) when its attempt returns, and Compact clears those
-// references in place once the pin drain proves no helper that saw the
-// attempt undecided is still running (prune.go). A published info is
-// never recycled: nodes keep pointing at it through their update fields.
+// The rest of the attempt lives in the body, which is read only by help
+// while the attempt is undecided and by Compact's drain. Every published
+// info is pushed onto the tree's retire stack (body.retireNext) when its
+// attempt returns, and once the pin drain proves no helper that saw the
+// attempt undecided is still running, Compact detaches the body
+// (body = nil), zeroes it and pools it for a later attempt (pool.go).
 type info[V any] struct {
 	state atomic.Int32 // ⊥ / Try / Commit / Abort
 
+	// Pre-typed freeze descriptors pointing back at this info. They are
+	// initialized once (newInfo) and never change, even across pool
+	// reuse: flagD = {flag, this}, markD = {mark, this}.
+	flagD, markD descriptor[V]
+
+	// body is the attempt's description; nil for the dummy and once the
+	// body was recycled. Written by newInfo and by Compact's recycling,
+	// which runs only after the pin drain, so no helper reads it then.
+	body *infoBody[V]
+}
+
+// infoBody is the recyclable part of an Info object: everything help
+// needs to complete an undecided attempt and Compact needs to drain a
+// decided one. All fields except retireNext are immutable between
+// newInfo and the attempt's decision.
+type infoBody[V any] struct {
 	nn        uint8                     // number of nodes to freeze
 	markMask  uint8                     // bit i set ⇒ nodes[i] is marked (mark ⊆ nodes)
 	delta     int8                      // live-node change on commit: +2 insert, -2 delete, 0 replace
@@ -84,11 +102,6 @@ type info[V any] struct {
 	// one CAS and no allocation). Written by the owner before its push
 	// CAS; read and reset only by Compact after popping.
 	retireNext *info[V]
-
-	// Pre-typed freeze descriptors pointing back at this info. They are
-	// initialized once (newInfo) and never change, even across pool
-	// reuse: flagD = {flag, this}, markD = {mark, this}.
-	flagD, markD descriptor[V]
 }
 
 // leafBit is packed into the top bit of node.seqLeaf. Phase numbers are

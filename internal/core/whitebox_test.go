@@ -40,14 +40,14 @@ func TestHandshakeAbortPath(t *testing.T) {
 	_ = gp
 	pup := p.update.Load()
 	in := tr.newInfo()
-	in.nodes = [maxFreeze]*node[struct{}]{p, l}
-	in.oldUpdate = [maxFreeze]*descriptor[struct{}]{pup, l.update.Load()}
-	in.nn = 2
-	in.markMask = 1 << 1
-	in.par = p
-	in.oldChild = l
-	in.newChild = tr.newLeaf(6, tr.phase())
-	in.seq = tr.phase() + 99 // wrong phase: handshake must fail
+	in.body.nodes = [maxFreeze]*node[struct{}]{p, l}
+	in.body.oldUpdate = [maxFreeze]*descriptor[struct{}]{pup, l.update.Load()}
+	in.body.nn = 2
+	in.body.markMask = 1 << 1
+	in.body.par = p
+	in.body.oldChild = l
+	in.body.newChild = tr.newLeaf(6, tr.phase())
+	in.body.seq = tr.phase() + 99 // wrong phase: handshake must fail
 	// Simulate the flag CAS of Execute.
 	if !p.update.CompareAndSwap(pup, &in.flagD) {
 		t.Fatal("setup flag CAS failed")
@@ -94,14 +94,14 @@ func TestHelpIsIdempotent(t *testing.T) {
 		ni.right.Store(nl)
 	}
 	in := tr.newInfo()
-	in.nodes = [maxFreeze]*node[struct{}]{p, l}
-	in.oldUpdate = [maxFreeze]*descriptor[struct{}]{pupdate, l.update.Load()}
-	in.nn = 2
-	in.markMask = 1 << 1
-	in.par = p
-	in.oldChild = l
-	in.newChild = ni
-	in.seq = tr.phase()
+	in.body.nodes = [maxFreeze]*node[struct{}]{p, l}
+	in.body.oldUpdate = [maxFreeze]*descriptor[struct{}]{pupdate, l.update.Load()}
+	in.body.nn = 2
+	in.body.markMask = 1 << 1
+	in.body.par = p
+	in.body.oldChild = l
+	in.body.newChild = ni
+	in.body.seq = tr.phase()
 	if !p.update.CompareAndSwap(pupdate, &in.flagD) {
 		t.Fatal("flag CAS failed")
 	}
@@ -123,7 +123,7 @@ func TestHelpIsIdempotent(t *testing.T) {
 func TestExecuteRefusesFrozenOldUpdate(t *testing.T) {
 	tr := New()
 	tr.Insert(1)
-	inProg := &info[struct{}]{seq: tr.phase()}
+	inProg := &info[struct{}]{body: &infoBody[struct{}]{seq: tr.phase()}}
 	inProg.state.Store(stateTry)
 	frozenDesc := &descriptor[struct{}]{typ: mark, info: inProg}
 	// mark+Try is frozen; Execute must bail out before creating an Info.

@@ -46,13 +46,17 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // residue and is dropped; anywhere else it is corruption.
 var errTornFrame = errors.New("persist: torn or corrupt frame")
 
-// appendFrame appends one frame carrying payload to dst.
+// appendFrame appends one frame carrying payload to dst. The CRC is
+// taken over the copy in dst, not over payload: crc32.Checksum's argument
+// escapes, and checksumming the copy keeps a caller's stack-allocated
+// payload on the stack.
 func appendFrame(dst, payload []byte) []byte {
-	var hdr [frameHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
+	start := len(dst)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = append(dst, 0, 0, 0, 0) // CRC, written once the payload is in dst
+	dst = append(dst, payload...)
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(dst[start+frameHeaderSize:], crcTable))
+	return dst
 }
 
 // readFrame reads the next frame from r. io.EOF reports a clean end
@@ -103,6 +107,9 @@ type record struct {
 	key   int64
 	keys  []int64
 }
+
+// pointRecordMax is the longest encoded point record.
+const pointRecordMax = 1 + 2*binary.MaxVarintLen64
 
 // appendPointRecord appends an encoded recInsert/recDelete to dst:
 // kind byte, phase uvarint, key zigzag varint.

@@ -168,7 +168,8 @@ func (p *Map) Delete(k int64) bool { return p.apply(bst.BatchDelete, recDelete, 
 func (p *Map) apply(kind bst.BatchKind, rec byte, k int64) bool {
 	res, phase := p.m.ApplyPhase(bst.BatchOp{Kind: kind, Key: k})
 	if res {
-		p.mustAppend(appendPointRecord(nil, rec, k, phase), phase)
+		var buf [pointRecordMax]byte
+		p.mustAppend(appendPointRecord(buf[:0], rec, k, phase), phase)
 	}
 	return res
 }
@@ -178,7 +179,13 @@ func (p *Map) apply(kind bst.BatchKind, rec byte, k int64) bool {
 // updates are logged as ONE frame, so replay applies them all-or-nothing
 // and a torn tail can never expose half a batch.
 func (p *Map) ApplyBatch(ops []bst.BatchOp, res []bool) {
-	phases := make([]uint64, len(ops))
+	var stack [64]uint64 // batches of up to 64 ops keep their phases on the stack
+	var phases []uint64
+	if len(ops) <= len(stack) {
+		phases = stack[:len(ops)]
+	} else {
+		phases = make([]uint64, len(ops))
+	}
 	p.m.ApplyBatchPhases(ops, res, phases)
 	var group []byte
 	var maxPhase uint64

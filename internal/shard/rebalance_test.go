@@ -363,10 +363,14 @@ func TestAutoRebalanceUnderSkew(t *testing.T) {
 			}
 		}(w)
 	}
-	time.Sleep(300 * time.Millisecond)
+	// Poll rather than sleep a fixed window: under the race detector a
+	// short window can end before the first split.
+	for deadline := time.Now().Add(10 * time.Second); s.Shards() <= 2 && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+	}
+	stop()
 	done.Store(true)
 	wg.Wait()
-	stop()
 	stop() // idempotent
 	if got := s.Shards(); got <= 2 {
 		t.Fatalf("auto-rebalancer never split under skew: %d shards", got)

@@ -233,8 +233,8 @@ type ShardInfo struct {
 	PrunedLinks  uint64
 	PoolNodeHits uint64
 	PoolNodePuts uint64
-	PoolInfoHits uint64
-	PoolInfoPuts uint64
+	PoolInfoHits uint64 // unpublished infos plus info bodies served from the pools
+	PoolInfoPuts uint64 // unpublished infos plus drained info bodies returned to the pools
 }
 
 // ShardInfos returns one ShardInfo per current shard, all read from a
