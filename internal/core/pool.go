@@ -33,11 +33,11 @@ import (
 //     pushed to the per-tree node pool, and the infos have their bodies
 //     detached, zeroed and pushed to the per-tree body pool.
 //
-// Info headers are never pooled once published: live nodes keep pointing
-// at a decided info through their update fields for as long as they
-// live, so its address must keep naming that one attempt. Only infos that
-// were never published (their first freeze CAS failed) return to the
-// info pool, header and body together. A body is read only by help while
+// Info headers are never pooled: live nodes keep pointing at a decided
+// info through their update fields for as long as they live, so its
+// address must keep naming that one attempt. Only the body
+// of an info that was never published (its first freeze CAS failed) is
+// pooled at once, its header left to the GC. A body is read only by help while
 // its attempt is undecided (help returns from the header's state alone
 // once it is decided) and by the drain, so after the pin drain nothing
 // can read a detached body through its old header.
@@ -45,7 +45,7 @@ import (
 // Why this preserves the paper's no-ABA argument (Lemma 7): a freeze CAS
 // succeeds spuriously only if its expected *descriptor is re-installed at
 // the same address. Descriptors live inside info headers, and no
-// published header is ever handed out again, so that cannot happen
+// header is ever handed out again, so that cannot happen
 // through infos. A node address or an info body re-enters circulation
 // only after (a) the horizon passed every registered reader and (b) the
 // pin drain proved no unregistered traversal from before the cut is
@@ -139,12 +139,15 @@ type poolState[V any] struct {
 	spare []*limboBatch[V] // emptied batches whose slices the next drains reuse
 
 	nodes  sync.Pool // of *node, poisoned
-	infos  sync.Pool // of *info, never published, with a zeroed body attached
-	bodies sync.Pool // of *infoBody, zeroed, detached from drained infos
+	bodies sync.Pool // of *infoBody, zeroed, detached from drained or unpublished infos
 }
 
 // infoAlloc is an info header allocated together with its body: newInfo's
-// single allocation when pooling is off.
+// single allocation when pooling is off. It exists only so that an
+// attempt costs one allocation with pooling off, as the unpooled
+// allocation-budget tests count; the price is that a drained body cannot
+// be freed before its header (160 B retained per decided info that a
+// node still names, DESIGN.md §10.4).
 type infoAlloc[V any] struct {
 	hdr  info[V]
 	body infoBody[V]
@@ -199,21 +202,12 @@ func (t *Map[V]) newNode(key int64, seq uint64, prev *node[V], leaf bool) *node[
 	return n
 }
 
-// newInfo hands out an info in state ⊥ with its embedded flag/mark
-// descriptors wired to itself and a zeroed body attached. With pooling
-// on, an unpublished info is reused whole; otherwise a fresh 48 B header
-// gets a pooled body if there is one. With pooling off, header and body
-// are one allocation.
+// newInfo hands out a fresh 48 B header in state ⊥ with its embedded
+// flag/mark descriptors wired to itself and a zeroed body attached: a
+// pooled body if there is one, else a new one.
 func (t *Map[V]) newInfo() *info[V] {
 	var in *info[V]
-	if !t.pool.pooling.Load() {
-		a := new(infoAlloc[V])
-		in = &a.hdr
-		in.body = &a.body
-	} else if v := t.pool.infos.Get(); v != nil {
-		t.stats.poolInfoHits.Add(1)
-		return v.(*info[V])
-	} else {
+	if t.pool.pooling.Load() {
 		in = new(info[V])
 		if v := t.pool.bodies.Get(); v != nil {
 			t.stats.poolInfoHits.Add(1)
@@ -221,23 +215,14 @@ func (t *Map[V]) newInfo() *info[V] {
 		} else {
 			in.body = new(infoBody[V])
 		}
+	} else {
+		a := new(infoAlloc[V])
+		in = &a.hdr
+		in.body = &a.body
 	}
 	in.flagD = descriptor[V]{typ: flag, info: in}
 	in.markD = descriptor[V]{typ: mark, info: in}
 	return in
-}
-
-// recycleUnpublished returns an info whose first freeze CAS failed: it
-// was never installed anywhere, so no other goroutine can hold a
-// reference and it is immediately reusable, header and body together.
-func (t *Map[V]) recycleUnpublished(in *info[V]) {
-	if !t.pool.pooling.Load() {
-		return
-	}
-	*in.body = infoBody[V]{}
-	in.state.Store(stateUndecided)
-	t.pool.infos.Put(in)
-	t.stats.poolInfoPuts.Add(1)
 }
 
 // retire pushes a published info onto the retire stack. Called by the
@@ -253,10 +238,12 @@ func (t *Map[V]) retire(in *info[V]) {
 	}
 }
 
-// recycleBody detaches a drained info's body, zeroes it and, with pooling
-// on, pools it. The caller must have proved that no helper which saw the
-// attempt undecided is still running (the pin drain): help reads the body
-// only then, and a later help sees the header's decided state and stops.
+// recycleBody detaches an info's body, zeroes it and, with pooling on,
+// pools it. The caller must have proved that nothing can still read the
+// body: for a drained info, that no helper which saw the attempt
+// undecided is still running (the pin drain) — help reads the body only
+// then, and a later help sees the header's decided state and stops; for
+// an info whose first freeze CAS failed, nothing else ever saw it.
 func (t *Map[V]) recycleBody(in *info[V]) {
 	b := in.body
 	in.body = nil

@@ -329,6 +329,33 @@ func TestHelpDecidedInfoWithoutBody(t *testing.T) {
 	}
 }
 
+// TestUnpublishedInfoPoolsBodyOnly: an info whose first freeze CAS failed
+// gives up its zeroed body (its header goes to the GC), and the body
+// reaches the body pool only with pooling on.
+func TestUnpublishedInfoPoolsBodyOnly(t *testing.T) {
+	tr := New()
+	for _, pooling := range []bool{true, false} {
+		tr.SetPooling(pooling)
+		in := tr.newInfo()
+		body := in.body
+		body.nn, body.delta, body.seq = 2, 2, 5
+		body.par = tr.newLeaf(1, 0)
+		body.nodes[0] = body.par
+		puts := tr.Stats().PoolInfoPuts
+		tr.recycleBody(in)
+		if in.body != nil || *body != (infoBody[struct{}]{}) {
+			t.Fatalf("pooling %v: info kept its body or the body kept references", pooling)
+		}
+		want := uint64(0)
+		if pooling {
+			want = 1
+		}
+		if got := tr.Stats().PoolInfoPuts - puts; got != want {
+			t.Fatalf("pooling %v: PoolInfoPuts rose by %d, want %d", pooling, got, want)
+		}
+	}
+}
+
 // TestNodeLayout pins the set's node at six words: the 48 B size class.
 func TestNodeLayout(t *testing.T) {
 	if got := unsafe.Sizeof(node[struct{}]{}); got != 48 {

@@ -44,8 +44,8 @@ type StatsSnapshot struct {
 
 	PoolNodeHits uint64 // node allocations served from the recycling pool
 	PoolNodePuts uint64 // drained garbage nodes returned to the pool
-	PoolInfoHits uint64 // infos served whole from the unpublished-info pool, plus bodies served from the body pool
-	PoolInfoPuts uint64 // unpublished infos returned whole, plus drained infos' bodies returned to the body pool
+	PoolInfoHits uint64 // info bodies served from the body pool
+	PoolInfoPuts uint64 // bodies of drained or unpublished infos returned to the body pool
 }
 
 // Stats returns a point-in-time copy of the tree's counters.

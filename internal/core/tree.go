@@ -454,8 +454,8 @@ func (t *Map[V]) execute(nodes [maxFreeze]*node[V], oldUpdate [maxFreeze]*descri
 		return ok
 	}
 	// The attempt was never published: no other goroutine can have seen
-	// in, so its memory can be reused immediately.
-	t.recycleUnpublished(in)
+	// in, so its body can be reused immediately; the header goes to the GC.
+	t.recycleBody(in)
 	return false
 }
 

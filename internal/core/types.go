@@ -38,10 +38,9 @@ const (
 // info embeds exactly one flag descriptor and one mark descriptor
 // (flagD/markD below), both pointing back at it, so installing a freeze
 // costs no allocation: the CAS installs &in.flagD or &in.markD. The
-// descriptor values are immutable, and an info header that was ever
-// published is never recycled (only infos whose first freeze CAS failed
-// return to the pool, see pool.go), so a descriptor address names one
-// attempt for as long as anything can hold it and CAS on the *descriptor
+// descriptor values are immutable, and an info header is never recycled
+// (only bodies return to a pool, see pool.go), so a descriptor address
+// names one attempt for as long as anything can hold it and CAS on the *descriptor
 // pointer remains equivalent to CAS on the packed word: the paper's
 // no-ABA argument (Lemma 7) — every successful CAS installs a pointer to
 // an Info created after the expected value was read — holds unchanged.

@@ -77,8 +77,9 @@ func TestScenarioHarnessRuns(t *testing.T) {
 		// TTL expiries start only once a stream has issued keyRange ops,
 		// which a 30 ms window may not reach when the run is slowed (the
 		// race detector): ycsb-d doubles its window until deletes appear
-		// and fails only at the cap.
-		for s.Name == "ycsb-d" && res.Ops[workload.OpDelete] == 0 && cfg.Duration < 4*time.Second {
+		// and fails only once the next window would exceed 4 s (the last
+		// window is 3.84 s, about 7.7 s in all).
+		for s.Name == "ycsb-d" && res.Ops[workload.OpDelete] == 0 && cfg.Duration*2 <= 4*time.Second {
 			cfg.Duration *= 2
 			res = harness.Run(cfg)
 		}

@@ -233,8 +233,8 @@ type ShardInfo struct {
 	PrunedLinks  uint64
 	PoolNodeHits uint64
 	PoolNodePuts uint64
-	PoolInfoHits uint64 // unpublished infos plus info bodies served from the pools
-	PoolInfoPuts uint64 // unpublished infos plus drained info bodies returned to the pools
+	PoolInfoHits uint64 // info bodies served from the body pool
+	PoolInfoPuts uint64 // info bodies returned to the body pool
 }
 
 // ShardInfos returns one ShardInfo per current shard, all read from a
