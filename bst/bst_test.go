@@ -9,15 +9,13 @@ import (
 	"repro/internal/seqset"
 )
 
-// allSets enumerates every implementation behind the Set interface.
-// The *Tree is wrapped so the test also exercises the facade methods.
-func allSets() map[string]func() bst.Set {
-	return map[string]func() bst.Set{
-		"pnbbst":        func() bst.Set { return bst.New() },
-		"nbbst":         bst.NewNonBlockingBaseline,
-		"locked":        bst.NewLocked,
-		"skiplist":      bst.NewSkipList,
-		"snapcollector": bst.NewSnapCollector,
+// allSets enumerates the public constructors of the package's one set
+// type: the paper's single tree and a map whose range shards split the
+// tests' keys. The baseline structures are checked in their own packages.
+func allSets() map[string]func() *bst.ShardedMap {
+	return map[string]func() *bst.ShardedMap{
+		"pnbbst":  bst.New,
+		"sharded": func() *bst.ShardedMap { return bst.NewShardedRange(0, 255, 4) },
 	}
 }
 
@@ -112,6 +110,8 @@ func TestTreeFacadeExtras(t *testing.T) {
 	}
 }
 
+// TestConcurrentThroughInterface runs concurrent point updates through
+// each constructor's map, then checks Len against a full scan.
 func TestConcurrentThroughInterface(t *testing.T) {
 	for name, mk := range allSets() {
 		t.Run(name, func(t *testing.T) {

@@ -67,35 +67,23 @@ func TestSnapshotReleaseSemantics(t *testing.T) {
 // TestAutoCompactBoundsMemory: StartAutoCompact keeps the version graph
 // bounded under churn without any explicit Compact calls.
 func TestAutoCompactBoundsMemory(t *testing.T) {
-	for _, sharded := range []bool{false, true} {
-		var (
-			set  bst.Set
-			stop func()
-			stat func() bst.Stats
-		)
-		if sharded {
-			m := bst.NewShardedRange(0, 511, 4)
-			stop = m.StartAutoCompact(5 * time.Millisecond)
-			set, stat = m, m.Stats
-		} else {
-			tr := bst.New()
-			stop = tr.StartAutoCompact(5 * time.Millisecond)
-			set, stat = tr, tr.Stats
-		}
+	for name, mk := range allSets() {
+		m := mk()
+		stop := m.StartAutoCompact(5 * time.Millisecond)
 		rng := workload.NewRNG(17)
 		deadline := time.Now().Add(200 * time.Millisecond)
 		for time.Now().Before(deadline) {
 			k := rng.Intn(512)
 			if rng.Intn(2) == 0 {
-				set.Insert(k)
+				m.Insert(k)
 			} else {
-				set.Delete(k)
+				m.Delete(k)
 			}
 		}
 		stop()
 		stop() // idempotent
-		if st := stat(); st.Compactions == 0 || st.PrunedLinks == 0 {
-			t.Fatalf("sharded=%v: auto-compaction never pruned: %+v", sharded, st)
+		if st := m.Stats(); st.Compactions == 0 || st.PrunedLinks == 0 {
+			t.Fatalf("%s: auto-compaction never pruned: %+v", name, st)
 		}
 	}
 }

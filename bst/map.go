@@ -8,7 +8,7 @@ import (
 
 // Map is a persistent non-blocking BST map from int64 keys to values of
 // type V — the key-value extension of the paper's set (DESIGN.md §3), run
-// by the same algorithm as Tree with values in the leaves. It adds a
+// by the same algorithm as the set with values in the leaves. It adds a
 // Put-replace operation: binding a new value to an existing key
 // installs a fresh leaf whose prev pointer keeps the old value readable
 // in earlier phases, so snapshots observe the value that was bound when
@@ -75,14 +75,15 @@ func (m *Map[V]) Len() int { return m.m.Len() }
 
 // Compact prunes version memory: superseded key-value versions that no
 // in-flight scan and no live MapSnapshot can still read are unlinked and
-// recycled. Same semantics, safety and cost as (*Tree).Compact (DESIGN.md
-// §6): a pass drains the updates retired since the previous pass and
-// never walks the map.
+// recycled. Same semantics, safety and cost as (*ShardedMap).Compact
+// (DESIGN.md §6): a pass drains the updates retired since the previous
+// pass and never walks the map.
 func (m *Map[V]) Compact() CompactStats { return m.m.Compact() }
 
 // StartAutoCompact runs Compact every interval on a background goroutine
-// until the returned stop function is called; see (*Tree).StartAutoCompact.
-// Each pass costs time proportional to the updates since the previous one.
+// until the returned stop function is called; see
+// (*ShardedMap).StartAutoCompact. Each pass costs time proportional to
+// the updates since the previous one.
 func (m *Map[V]) StartAutoCompact(interval time.Duration) (stop func()) {
 	return autoCompact(interval, func() { m.Compact() })
 }

@@ -66,8 +66,14 @@ func TestShardedSplitMerge(t *testing.T) {
 func TestShardedAutoRebalance(t *testing.T) {
 	const keys = 1 << 15
 	m := bst.NewShardedRange(0, keys-1, 2)
+	// One bulk load builds balanced shards; ascending Inserts would make
+	// each shard a chain and the setup quadratic.
+	var initial []int64
 	for k := int64(0); k < keys; k += 4 {
-		m.Insert(k)
+		initial = append(initial, k)
+	}
+	if _, err := m.BulkLoad(initial); err != nil {
+		t.Fatal(err)
 	}
 	stop := m.StartAutoRebalance(bst.RebalanceConfig{Interval: 2 * time.Millisecond, MaxShards: 16})
 	var done atomic.Bool

@@ -6,33 +6,33 @@ import (
 	"repro/internal/shard"
 )
 
-// ShardedMap is a keyspace-sharded ordered map of int64 keys: P
-// independent PNB-BSTs behind fixed range boundaries, the first
-// scale-out layer over the paper's single tree (DESIGN.md §5). Like the
-// paper's Tree it stores keys only (it implements Set); a sharded
-// counterpart of the value-carrying Map[V] is a planned step on the
-// same sharding axis.
+// ShardedMap is the package's set type: an ordered set of int64 keys
+// held in P PNB-BSTs behind range boundaries (DESIGN.md §5). New returns
+// the paper's single tree as a map of one shard; NewSharded and
+// NewShardedRange split the keyspace for scale-out. It stores keys only;
+// Map[V] is the value-carrying single tree.
 //
 // Point operations (Insert, Delete, Contains) route to the shard owning
 // the key and keep the PNB-BST's guarantees unchanged — linearizable and
 // non-blocking — because two operations on the same key always meet in
-// the same tree. Sharding removes the single tree's shared phase counter
-// and root from the path of unrelated keys, so disjoint-key workloads
-// scale with P.
+// the same tree. Sharding removes the single tree's root from the path
+// of unrelated keys, so disjoint-key workloads scale with P.
 //
 // RangeScan and Snapshot are wait-free and LINEARIZABLE across shards:
 // all P trees share one phase clock, so a multi-shard scan or snapshot
 // opens a single phase and takes every shard's wait-free cut at that
 // same phase, one atomic cut of the whole map, linearized at the clock
-// increment exactly like the paper's single-tree scan (DESIGN.md §5.2). The per-shard results concatenate in key order
-// (shards hold disjoint ordered ranges), so no merging is needed.
+// increment exactly like the paper's single-tree scan (DESIGN.md §5.2).
+// The per-shard results concatenate in key order (shards hold disjoint
+// ordered ranges), so no merging is needed.
 //
-// ShardedMap implements Set. All methods are safe for concurrent use.
+// All methods are safe for concurrent use.
 type ShardedMap struct {
 	s *shard.Set
 }
 
-// ShardedSnapshot is a frozen composite of per-shard snapshots; see
+// ShardedSnapshot is a wait-free immutable point-in-time view of a
+// ShardedMap, one atomic cut of all its shards; see
 // (*ShardedMap).Snapshot.
 type ShardedSnapshot = shard.Snapshot
 
@@ -171,16 +171,29 @@ func (m *ShardedMap) Pred(k int64) (int64, bool) { return m.s.Pred(k) }
 // the call site).
 func (m *ShardedMap) Snapshot() *ShardedSnapshot { return m.s.Snapshot() }
 
-// Compact prunes every shard's version memory to that shard's own
-// reclamation horizon (horizons stay per-shard even under the shared
-// clock: a composite Snapshot or in-flight cross-shard scan registers on
-// every shard it covers before opening its phase, pinning each horizon
-// separately — DESIGN.md §6). LiveNodes and PrunedLinks are summed over
-// shards. Safe concurrently with any mix of operations.
+// Compact prunes version memory: superseded node versions that no
+// in-flight RangeScan and no live Snapshot can still read are unlinked
+// from the shards' prev chains, making them collectible (or, with the
+// default post-horizon recycling, reusable; DESIGN.md §10). Without
+// compaction every version ever created stays reachable, so heap grows
+// with the total update count; with periodic compaction steady-state
+// memory is proportional to the live set plus the versions pinned by
+// open snapshots. A pass drains the updates retired since the previous
+// pass; it never walks the tree. Horizons stay per-shard under the
+// shared clock: a composite Snapshot or in-flight cross-shard scan
+// registers on every shard it covers before opening its phase, pinning
+// each horizon separately (DESIGN.md §6). LiveNodes and PrunedLinks are
+// summed over shards. Safe concurrently with any mix of operations;
+// scans running during a Compact stay wait-free and linearizable.
 func (m *ShardedMap) Compact() CompactStats { return m.s.Compact() }
 
 // StartAutoCompact runs Compact every interval on a background goroutine
-// until the returned stop function is called; see (*Tree).StartAutoCompact.
+// until the returned stop function is called. Typical intervals are
+// hundreds of milliseconds to seconds: each pass costs time proportional
+// to the updates since the previous pass (an idle map's pass is O(1)),
+// so the interval trades pass overhead against how long garbage waits; a
+// non-positive interval defaults to one second. The stop function is
+// idempotent and waits for an in-flight pass to finish.
 func (m *ShardedMap) StartAutoCompact(interval time.Duration) (stop func()) {
 	return autoCompact(interval, func() { m.Compact() })
 }
@@ -202,5 +215,3 @@ func (m *ShardedMap) ResetStats() { m.s.ResetStats() }
 // CheckInvariants validates per-shard structure and key ownership;
 // quiescent use only.
 func (m *ShardedMap) CheckInvariants() error { return m.s.CheckInvariants() }
-
-var _ Set = (*ShardedMap)(nil)

@@ -7,38 +7,39 @@ import (
 
 	"repro/bst"
 	"repro/internal/lincheck"
+	"repro/internal/seqset"
 	"repro/internal/workload"
 )
 
 // TestShardedMatchesSingleTree drives identical sequential op streams
-// through a ShardedMap (several shard counts) and a single Tree and
-// requires identical results, including multi-shard range scans — the
-// acceptance check for the sharded layer.
+// through a ShardedMap (several shard counts) and the sequential oracle
+// set and requires identical results, including multi-shard range scans
+// — the acceptance check for the sharded layer.
 func TestShardedMatchesSingleTree(t *testing.T) {
 	const keys = 1 << 12
 	for _, shards := range []int{1, 4, 16} {
 		m := bst.NewShardedRange(0, keys-1, shards)
-		single := bst.New()
+		oracle := seqset.New()
 		rng := workload.NewRNG(uint64(shards))
 		for op := 0; op < 30000; op++ {
 			k := rng.Intn(keys)
 			switch rng.Intn(5) {
 			case 0, 1:
-				if got, want := m.Insert(k), single.Insert(k); got != want {
+				if got, want := m.Insert(k), oracle.Insert(k); got != want {
 					t.Fatalf("shards=%d op=%d: Insert(%d) = %v, want %v", shards, op, k, got, want)
 				}
 			case 2:
-				if got, want := m.Delete(k), single.Delete(k); got != want {
+				if got, want := m.Delete(k), oracle.Delete(k); got != want {
 					t.Fatalf("shards=%d op=%d: Delete(%d) = %v, want %v", shards, op, k, got, want)
 				}
 			case 3:
-				if got, want := m.Contains(k), single.Contains(k); got != want {
+				if got, want := m.Contains(k), oracle.Contains(k); got != want {
 					t.Fatalf("shards=%d op=%d: Contains(%d) = %v, want %v", shards, op, k, got, want)
 				}
 			default:
 				a := rng.Intn(keys)
 				b := a + rng.Intn(keys/2)
-				got, want := m.RangeScan(a, b), single.RangeScan(a, b)
+				got, want := m.RangeScan(a, b), oracle.RangeScan(a, b)
 				if len(got) != len(want) {
 					t.Fatalf("shards=%d: RangeScan(%d,%d) sizes %d vs %d", shards, a, b, len(got), len(want))
 				}
@@ -49,8 +50,8 @@ func TestShardedMatchesSingleTree(t *testing.T) {
 				}
 			}
 		}
-		if m.Len() != single.Len() {
-			t.Fatalf("shards=%d: Len %d vs %d", shards, m.Len(), single.Len())
+		if m.Len() != oracle.Len() {
+			t.Fatalf("shards=%d: Len %d vs %d", shards, m.Len(), oracle.Len())
 		}
 		if err := m.CheckInvariants(); err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)

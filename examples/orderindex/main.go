@@ -95,7 +95,7 @@ func main() {
 
 // topBid returns the highest bid price (0 if none) by scanning the top
 // slice of the bid range; wait-free.
-func topBid(bids *bst.Tree) int64 {
+func topBid(bids *bst.ShardedMap) int64 {
 	var best int64
 	bids.RangeScanFunc(0, midPrice, func(k int64) bool {
 		best = k // ascending; last one wins
@@ -106,7 +106,7 @@ func topBid(bids *bst.Tree) int64 {
 
 // topAsk returns the lowest ask price (0 if none); early-stops after the
 // first key, so it is O(path) regardless of book depth.
-func topAsk(asks *bst.Tree) int64 {
+func topAsk(asks *bst.ShardedMap) int64 {
 	var best int64
 	asks.RangeScanFunc(midPrice, bst.MaxKey, func(k int64) bool {
 		best = k

@@ -39,18 +39,4 @@ func main() {
 	fmt.Println("snapshot keys:", snap.Keys())
 	fmt.Println("snapshot still has 3:", snap.Contains(3))
 
-	// The same workloads run on the baselines via the Set interface.
-	for _, s := range []struct {
-		name string
-		set  bst.Set
-	}{
-		{"nb-bst (baseline)", bst.NewNonBlockingBaseline()},
-		{"locked tree", bst.NewLocked()},
-		{"skip list", bst.NewSkipList()},
-		{"snap collector", bst.NewSnapCollector()},
-	} {
-		s.set.Insert(1)
-		s.set.Insert(2)
-		fmt.Printf("%-18s scan [0,10] = %v\n", s.name, s.set.RangeScan(0, 10))
-	}
 }

@@ -36,7 +36,7 @@ func main() {
 	}()
 
 	// Take a snapshot every few milliseconds.
-	var snaps []*bst.Snapshot
+	var snaps []*bst.ShardedSnapshot
 	for i := 0; i < 5; i++ {
 		snaps = append(snaps, t.Snapshot())
 		time.Sleep(5 * time.Millisecond)
@@ -69,7 +69,7 @@ func main() {
 
 // diff counts keys added and removed between two snapshots by a linear
 // merge of their sorted key lists.
-func diff(a, b *bst.Snapshot) (added, removed int) {
+func diff(a, b *bst.ShardedSnapshot) (added, removed int) {
 	ka, kb := a.Keys(), b.Keys()
 	i, j := 0, 0
 	for i < len(ka) || j < len(kb) {

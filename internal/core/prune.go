@@ -47,7 +47,7 @@ type CompactStats struct {
 // (plus those held back by the horizon), not to the tree: a pass on an
 // idle tree does O(1) work. It runs concurrently with any mix of
 // operations; updates that retire during the pass are left for the next.
-// Typical use is periodic (see bst.Tree.StartAutoCompact) or after
+// Typical use is periodic (see bst.ShardedMap.StartAutoCompact) or after
 // bursts of updates.
 func (t *Map[V]) Compact() CompactStats {
 	p := &t.pool

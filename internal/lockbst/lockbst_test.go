@@ -111,6 +111,23 @@ func TestConcurrentMixed(t *testing.T) {
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+	// Len keeps its own count; at quiescence it must match a full scan.
+	if got, scan := tr.Len(), tr.Keys(); got != len(scan) {
+		t.Fatalf("Len %d != scan %d", got, len(scan))
+	}
+}
+
+func TestBoundaryKeys(t *testing.T) {
+	tr := New()
+	if !tr.Insert(MaxKey) || !tr.Find(MaxKey) || !tr.Delete(MaxKey) {
+		t.Fatal("MaxKey roundtrip failed")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("sentinel key did not panic")
+		}
+	}()
+	tr.Insert(MaxKey + 1)
 }
 
 func TestScanBlocksConsistently(t *testing.T) {

@@ -3,6 +3,7 @@ package nbbst
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -39,7 +40,7 @@ func TestSequentialVsOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 20000; i++ {
 		k := int64(rng.Intn(400))
-		switch rng.Intn(3) {
+		switch rng.Intn(4) {
 		case 0:
 			if tr.Insert(k) != oracle.Insert(k) {
 				t.Fatalf("Insert(%d) diverged at step %d", k, i)
@@ -51,6 +52,11 @@ func TestSequentialVsOracle(t *testing.T) {
 		case 2:
 			if tr.Find(k) != oracle.Contains(k) {
 				t.Fatalf("Find(%d) diverged at step %d", k, i)
+			}
+		case 3:
+			// Sequentially the best-effort scan is exact.
+			if got, want := tr.RangeScanUnsafe(k, k+40), oracle.RangeScan(k, k+40); !slices.Equal(got, want) {
+				t.Fatalf("RangeScanUnsafe(%d, %d) = %v, want %v at step %d", k, k+40, got, want, i)
 			}
 		}
 	}
@@ -165,12 +171,23 @@ func TestConcurrentSharedBalance(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	var want []int64
 	for k := int64(0); k < keyspace; k++ {
 		b := balance[k].Load()
 		present := tr.Find(k)
 		if present && b != 1 || !present && b != 0 {
 			t.Errorf("key %d: balance %d, present %v", k, b, present)
 		}
+		if b == 1 {
+			want = append(want, k)
+		}
+	}
+	// At quiescence the best-effort scan and Len agree with the balances.
+	if got := tr.RangeScanUnsafe(0, keyspace-1); !slices.Equal(got, want) {
+		t.Errorf("quiescent scan = %v, want %v", got, want)
+	}
+	if tr.Len() != len(want) {
+		t.Errorf("Len = %d, want %d", tr.Len(), len(want))
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)

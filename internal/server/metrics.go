@@ -88,10 +88,25 @@ func (s *Server) storeInfo() (shards []bst.ShardInfo, st *bst.Stats, splits, mer
 	return shards, st, splits, merges, ps, clock
 }
 
+// metricsFold is one reading of the server's state: the Metrics document
+// plus what the Prometheus encoder needs beyond it, the folded per-op
+// histograms behind Metrics.Ops and the store-level counters. Both
+// encoders render from one fold, so one scrape reports one instant.
+type metricsFold struct {
+	Metrics
+	lats           *connMetrics
+	st             *bst.Stats
+	splits, merges uint64
+}
+
 // Metrics snapshots the server's counters and per-op latency summaries:
 // the folded histograms of closed connections merged with every live
 // connection's so-far data.
-func (s *Server) Metrics() Metrics {
+func (s *Server) Metrics() Metrics { return s.fold().Metrics }
+
+// fold reads every connection's histograms and the store's
+// introspection surfaces once.
+func (s *Server) fold() metricsFold {
 	agg := newConnMetrics()
 	s.mu.Lock()
 	active := len(s.conns)
@@ -102,7 +117,9 @@ func (s *Server) Metrics() Metrics {
 	}
 	s.mu.Unlock()
 
-	m := Metrics{
+	f := metricsFold{lats: agg}
+	m := &f.Metrics
+	*m = Metrics{
 		UptimeSec:   time.Since(s.start).Seconds(),
 		ConnsActive: active,
 		ConnsTotal:  total,
@@ -115,7 +132,7 @@ func (s *Server) Metrics() Metrics {
 			m.Ops[op.String()] = h.Snapshot()
 		}
 	}
-	m.Shards, _, _, _, m.Persist, m.Clock = s.storeInfo()
+	m.Shards, f.st, f.splits, f.merges, m.Persist, m.Clock = s.storeInfo()
 	counts := obs.Default.Counts()
 	m.Events = make(map[string]EventMetric, obs.NumEventTypes-1)
 	for t := obs.EventType(1); int(t) < obs.NumEventTypes; t++ {
@@ -130,7 +147,7 @@ func (s *Server) Metrics() Metrics {
 		NumGC:          ms.NumGC,
 		GCPauseTotalNs: ms.PauseTotalNs,
 	}
-	return m
+	return f
 }
 
 // MetricsJSON renders Metrics as JSON (the STATS reply payload).

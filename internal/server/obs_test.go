@@ -136,9 +136,37 @@ func TestMetricsDoneFold(t *testing.T) {
 	}
 }
 
+// promOpsAgree reports whether one exposition's bstserver_ops_total
+// equals the sum of its per-op latency counts. Every served op adds one
+// to both under the same lock, so they agree exactly when the scrape
+// rendered them from a single fold.
+func promOpsAgree(expo []byte) (total, latCounts uint64, ok bool) {
+	sc := bufio.NewScanner(bytes.NewReader(expo))
+	for sc.Scan() {
+		line := sc.Text()
+		i := strings.LastIndexByte(line, ' ')
+		if i < 0 || strings.HasPrefix(line, "#") {
+			continue
+		}
+		v, err := strconv.ParseUint(line[i+1:], 10, 64)
+		if err != nil {
+			continue
+		}
+		switch {
+		case strings.HasPrefix(line, "bstserver_ops_total "):
+			total = v
+		case strings.HasPrefix(line, "bstserver_op_latency_seconds_count{"):
+			latCounts += v
+		}
+	}
+	return total, latCounts, total == latCounts
+}
+
 // TestConcurrentStatsScrape runs STATS, Metrics(), and the prom
 // exposition concurrently with live traffic — primarily a race-detector
-// test over the metrics fold and the exporter EWMA state.
+// test over the metrics fold and the exporter EWMA state. Each
+// exposition must also report one instant: its op total and its latency
+// histograms come from the same fold.
 func TestConcurrentStatsScrape(t *testing.T) {
 	s, _ := startTestServer(t, Config{MetricsAddr: "127.0.0.1:0"})
 	stop := make(chan struct{})
@@ -176,11 +204,12 @@ func TestConcurrentStatsScrape(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		defer close(stop) // also on error, or the writers never stop
 		deadline := time.Now().Add(500 * time.Millisecond)
 		for time.Now().Before(deadline) {
 			s.Metrics()
-			if len(s.MetricsProm()) == 0 {
-				errc <- fmt.Errorf("empty prom exposition")
+			if total, lat, ok := promOpsAgree(s.MetricsProm()); !ok {
+				errc <- fmt.Errorf("one exposition reports %d ops but %d latency samples", total, lat)
 				return
 			}
 			resp, err := http.Get(fmt.Sprintf("http://%s/metrics?format=prom", s.MetricsAddr()))
@@ -191,7 +220,6 @@ func TestConcurrentStatsScrape(t *testing.T) {
 			io.Copy(io.Discard, resp.Body) //nolint:errcheck
 			resp.Body.Close()
 		}
-		close(stop)
 	}()
 	wg.Wait()
 	select {

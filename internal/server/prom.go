@@ -28,8 +28,8 @@ import (
 // generation changes (migrations reset the per-shard counters, so a
 // delta across generations would go negative).
 func (s *Server) MetricsProm() []byte {
-	m := s.Metrics()
-	shards, st, splits, merges, ps, clock := s.storeInfo()
+	m := s.fold()
+	st, shards, ps := m.st, m.Shards, m.Persist
 
 	var b bytes.Buffer
 	gauge := func(name, help string, v float64) {
@@ -49,7 +49,7 @@ func (s *Server) MetricsProm() []byte {
 	}
 	gauge("bstserver_draining", "1 once graceful drain has begun, else 0.", draining)
 
-	s.promOpLatencies(&b)
+	promOpLatencies(&b, m.lats)
 
 	counter("bstserver_events_total_all", "Flight-recorder events emitted since start, all types.", float64(sumCounts(m.Events)))
 	fmt.Fprintf(&b, "# HELP bstserver_events_total Flight-recorder events emitted since start, by type.\n# TYPE bstserver_events_total counter\n")
@@ -61,8 +61,8 @@ func (s *Server) MetricsProm() []byte {
 		fmt.Fprintf(&b, "bstserver_event_last_phase{type=%q} %d\n", t.String(), m.Events[t.String()].LastPhase)
 	}
 
-	if clock > 0 {
-		gauge("bstserver_clock_phase", "Current phase of the store's shared clock.", float64(clock))
+	if m.Clock > 0 {
+		gauge("bstserver_clock_phase", "Current phase of the store's shared clock.", float64(m.Clock))
 	}
 	if st != nil {
 		counter("bstserver_store_scans_total", "Range scans and snapshots taken (phases opened).", float64(st.Scans))
@@ -76,7 +76,7 @@ func (s *Server) MetricsProm() []byte {
 	if shards != nil {
 		gauge("bstserver_shards", "Current shard count.", float64(len(shards)))
 		fmt.Fprintf(&b, "# HELP bstserver_migrations_total Completed shard migrations, by kind.\n# TYPE bstserver_migrations_total counter\n")
-		fmt.Fprintf(&b, "bstserver_migrations_total{kind=\"split\"} %d\nbstserver_migrations_total{kind=\"merge\"} %d\n", splits, merges)
+		fmt.Fprintf(&b, "bstserver_migrations_total{kind=\"split\"} %d\nbstserver_migrations_total{kind=\"merge\"} %d\n", m.splits, m.merges)
 		s.promShards(&b, shards)
 	}
 	if ps != nil {
@@ -104,18 +104,9 @@ func (s *Server) MetricsProm() []byte {
 }
 
 // promOpLatencies renders one bstserver_op_latency_seconds histogram per
-// wire op. The aggregate fold is rebuilt here (rather than reusing
-// Metrics.Ops) because the text format needs the raw buckets, not the
-// percentile summary.
-func (s *Server) promOpLatencies(b *bytes.Buffer) {
-	agg := newConnMetrics()
-	s.mu.Lock()
-	agg.merge(s.done)
-	for c := range s.conns {
-		agg.merge(c.metrics)
-	}
-	s.mu.Unlock()
-
+// wire op from the fold's raw buckets (Metrics.Ops holds only the
+// percentile summary the text format cannot use).
+func promOpLatencies(b *bytes.Buffer, agg *connMetrics) {
 	fmt.Fprintf(b, "# HELP bstserver_op_latency_seconds Service time per wire op (decode done to reply buffered).\n# TYPE bstserver_op_latency_seconds histogram\n")
 	for _, op := range wire.Ops() {
 		h := agg.lats[op]

@@ -47,3 +47,29 @@ func TestApplyAllocBudget(t *testing.T) {
 		t.Errorf("Set.Apply(Contains) allocs/op = %v, want 0", got)
 	}
 }
+
+// TestApplyBatchAllocBudget pins the batch path's scratch to the stack: a
+// 64-op batch spread over 8 shards must allocate nothing beyond what its
+// ops allocate in their trees, and Contains ops allocate nothing there.
+func TestApplyBatchAllocBudget(t *testing.T) {
+	const keys = 1 << 10
+	s := NewRange(0, keys-1, 8)
+	ops := make([]core.BatchOp, batchStack)
+	for i := range ops {
+		ops[i] = core.BatchOp{Kind: core.BatchContains, Key: int64(i * keys / len(ops))}
+		s.Insert(ops[i].Key)
+	}
+	res := make([]bool, len(ops))
+	phases := make([]uint64, len(ops))
+	if got := testing.AllocsPerRun(100, func() { s.ApplyBatch(ops, res) }); got != 0 {
+		t.Errorf("ApplyBatch of %d Contains over 8 shards: %v allocs/batch, want 0", len(ops), got)
+	}
+	if got := testing.AllocsPerRun(100, func() { s.ApplyBatchPhases(ops, res, phases) }); got != 0 {
+		t.Errorf("ApplyBatchPhases of %d Contains over 8 shards: %v allocs/batch, want 0", len(ops), got)
+	}
+	for i, ok := range res {
+		if !ok {
+			t.Fatalf("op %d: Contains(%d) = false after Insert", i, ops[i].Key)
+		}
+	}
+}

@@ -50,27 +50,39 @@ func (s *Set) ApplyBatchPhases(ops []core.BatchOp, res []bool, phases []uint64) 
 	if len(ops) == 0 {
 		return
 	}
+	// Every scratch slice below is backed by a stack array while the batch
+	// has at most batchStack ops and the table at most batchStack shards
+	// (core.TryApplyOps keeps none of its slice arguments), so the common
+	// wire batch allocates nothing here; larger ones fall back to make.
+	var (
+		posBuf, orderBuf, shardBuf, nextBuf [batchStack]int
+		headsBuf                            [batchStack + 1]int
+		gopsBuf                             [batchStack]core.BatchOp
+		gresBuf                             [batchStack]bool
+		gphBuf                              [batchStack]uint64
+	)
 	n := len(ops)
-	pos := make([]int, n) // positions into ops still to apply, batch order
+	pos := scratch(posBuf[:], n) // positions into ops still to apply, batch order
 	for i := range pos {
 		pos[i] = i
 	}
 	var (
-		order = make([]int, n)          // pos regrouped by destination shard
-		gops  = make([]core.BatchOp, n) // per-group op scratch
-		gres  = make([]bool, n)         // per-group result scratch
-		gph   []uint64                  // per-group phase scratch
+		order   = scratch(orderBuf[:], n) // pos regrouped by destination shard
+		shardOf = scratch(shardBuf[:], n) // destination shard of pos[j]
+		gops    = scratch(gopsBuf[:], n)  // per-group op scratch
+		gres    = scratch(gresBuf[:], n)  // per-group result scratch
+		gph     []uint64                  // per-group phase scratch
 	)
 	if phases != nil {
-		gph = make([]uint64, n)
+		gph = scratch(gphBuf[:], n)
 	}
 	for {
 		tab := s.tab.Load()
 		p := len(tab.trees)
 		// Stable counting sort of the remaining positions by shard: one
 		// Router resolution per op per table generation, not per attempt.
-		shardOf := make([]int, len(pos))
-		heads := make([]int, p+1)
+		heads := scratch(headsBuf[:], p+1)
+		clear(heads)
 		for j, i := range pos {
 			g := tab.r.Of(ops[i].Key)
 			shardOf[j] = g
@@ -79,7 +91,7 @@ func (s *Set) ApplyBatchPhases(ops []core.BatchOp, res []bool, phases []uint64) 
 		for g := 0; g < p; g++ {
 			heads[g+1] += heads[g]
 		}
-		next := make([]int, p)
+		next := scratch(nextBuf[:], p)
 		copy(next, heads[:p])
 		order = order[:len(pos)]
 		for j, i := range pos {
@@ -121,4 +133,16 @@ func (s *Set) ApplyBatchPhases(ops []core.BatchOp, res []bool, phases []uint64) 
 		pos = rem
 		runtime.Gosched() // owning shard(s) mid-migration; wait for the swap
 	}
+}
+
+// batchStack bounds the batches and shard tables whose ApplyBatchPhases
+// scratch lives on the stack.
+const batchStack = 64
+
+// scratch returns stack[:n] when it fits, else a fresh slice of n.
+func scratch[T any](stack []T, n int) []T {
+	if n <= len(stack) {
+		return stack[:n]
+	}
+	return make([]T, n)
 }

@@ -13,44 +13,44 @@ import (
 
 // TestApplyBatchOracle: random batches spanning all shards match a map
 // oracle op for op, including cross-shard ordering of duplicate keys.
+// Batch lengths and shard counts straddle batchStack, so both the stack
+// scratch and the heap fallback run.
 func TestApplyBatchOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	s := NewRange(0, 999, 4)
-	oracle := map[int64]bool{}
-	for round := 0; round < 300; round++ {
-		n := rng.Intn(32)
-		ops := make([]core.BatchOp, n)
-		for i := range ops {
-			ops[i] = core.BatchOp{Kind: core.BatchKind(rng.Intn(3)), Key: int64(rng.Intn(1000))}
-		}
-		res := make([]bool, n)
-		s.ApplyBatch(ops, res)
-		for i, op := range ops {
-			var want bool
-			switch op.Kind {
-			case core.BatchInsert:
-				want = !oracle[op.Key]
-				oracle[op.Key] = true
-			case core.BatchDelete:
-				want = oracle[op.Key]
-				delete(oracle, op.Key)
-			default:
-				want = oracle[op.Key]
+	for _, shards := range []int{4, 2 * batchStack} {
+		rng := rand.New(rand.NewSource(2))
+		s := NewRange(0, 999, shards)
+		oracle := map[int64]bool{}
+		for round := 0; round < 300; round++ {
+			n := rng.Intn(2 * batchStack)
+			ops := make([]core.BatchOp, n)
+			for i := range ops {
+				ops[i] = core.BatchOp{Kind: core.BatchKind(rng.Intn(3)), Key: int64(rng.Intn(1000))}
 			}
-			if res[i] != want {
-				t.Fatalf("round %d op %d (%v %d): got %v, want %v", round, i, op.Kind, op.Key, res[i], want)
+			res := make([]bool, n)
+			s.ApplyBatch(ops, res)
+			for i, op := range ops {
+				var want bool
+				switch op.Kind {
+				case core.BatchInsert:
+					want = !oracle[op.Key]
+					oracle[op.Key] = true
+				case core.BatchDelete:
+					want = oracle[op.Key]
+					delete(oracle, op.Key)
+				default:
+					want = oracle[op.Key]
+				}
+				if res[i] != want {
+					t.Fatalf("shards %d round %d op %d (%v %d): got %v, want %v", shards, round, i, op.Kind, op.Key, res[i], want)
+				}
 			}
 		}
-	}
-	if err := s.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	want := 0
-	for range oracle {
-		want++
-	}
-	if got := s.Len(); got != want {
-		t.Fatalf("Len = %d, oracle %d", got, want)
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Len(); got != len(oracle) {
+			t.Fatalf("shards %d: Len = %d, oracle %d", shards, got, len(oracle))
+		}
 	}
 }
 

@@ -338,8 +338,14 @@ func TestRebalancerSplitsHotMergesCold(t *testing.T) {
 func TestAutoRebalanceUnderSkew(t *testing.T) {
 	const keyRange = 1 << 16
 	s := NewRange(0, keyRange-1, 2)
+	// One bulk load builds balanced shards; ascending Inserts would make
+	// each shard a chain and the setup quadratic.
+	var initial []int64
 	for k := int64(0); k < keyRange; k += 8 {
-		s.Insert(k)
+		initial = append(initial, k)
+	}
+	if _, err := s.BulkLoad(initial); err != nil {
+		t.Fatal(err)
 	}
 	stop := s.AutoRebalance(RebalanceConfig{Interval: 2 * time.Millisecond, MaxShards: 16})
 	var done atomic.Bool

@@ -195,9 +195,6 @@ func (s *Set) Find(k int64) bool {
 	return tab.trees[i].Find(k)
 }
 
-// Contains is an alias for Find (the bst.Set spelling).
-func (s *Set) Contains(k int64) bool { return s.Find(k) }
-
 // ShardLoads returns the cumulative per-shard point-operation counts
 // (Insert+Delete+Find) of the current routing table. Counters start at
 // zero whenever a migration installs a new table, so consumers (the

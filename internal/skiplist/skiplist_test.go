@@ -3,6 +3,7 @@ package skiplist
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -39,7 +40,7 @@ func TestSequentialVsOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for i := 0; i < 20000; i++ {
 		k := int64(rng.Intn(400)) + 1
-		switch rng.Intn(3) {
+		switch rng.Intn(4) {
 		case 0:
 			if s.Insert(k) != oracle.Insert(k) {
 				t.Fatalf("Insert(%d) diverged at %d", k, i)
@@ -51,6 +52,11 @@ func TestSequentialVsOracle(t *testing.T) {
 		case 2:
 			if s.Find(k) != oracle.Contains(k) {
 				t.Fatalf("Find(%d) diverged at %d", k, i)
+			}
+		case 3:
+			// Sequentially the best-effort scan is exact.
+			if got, want := s.RangeScanUnsafe(k, k+40), oracle.RangeScan(k, k+40); !slices.Equal(got, want) {
+				t.Fatalf("RangeScanUnsafe(%d, %d) = %v, want %v at step %d", k, k+40, got, want, i)
 			}
 		}
 	}
@@ -165,16 +171,40 @@ func TestConcurrentSharedBalance(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	var want []int64
 	for k := int64(1); k <= keyspace; k++ {
 		b := balance[k].Load()
 		present := s.Find(k)
 		if present && b != 1 || !present && b != 0 {
 			t.Errorf("key %d: balance %d, present %v", k, b, present)
 		}
+		if b == 1 {
+			want = append(want, k)
+		}
+	}
+	// At quiescence the best-effort scan and Len agree with the balances.
+	if got := s.RangeScanUnsafe(1, keyspace); !slices.Equal(got, want) {
+		t.Errorf("quiescent scan = %v, want %v", got, want)
+	}
+	if s.Len() != len(want) {
+		t.Errorf("Len = %d, want %d", s.Len(), len(want))
 	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func TestBoundaryKeys(t *testing.T) {
+	s := New()
+	if !s.Insert(MaxKey) || !s.Find(MaxKey) || !s.Delete(MaxKey) {
+		t.Fatal("MaxKey roundtrip failed")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("sentinel key did not panic")
+		}
+	}()
+	s.Insert(MaxKey + 1)
 }
 
 func TestRangeScanQuiescent(t *testing.T) {

@@ -2,12 +2,103 @@ package snapcollector
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/seqset"
+	"repro/internal/skiplist"
 )
+
+// TestSequentialVsOracle: every operation, snap-collector scans
+// included, matches the sequential oracle when run from one goroutine.
+func TestSequentialVsOracle(t *testing.T) {
+	s := New()
+	oracle := seqset.New()
+	rng := rand.New(rand.NewSource(77))
+	for i := 0; i < 8000; i++ {
+		k := int64(rng.Intn(250)) + 1
+		switch rng.Intn(4) {
+		case 0:
+			if s.Insert(k) != oracle.Insert(k) {
+				t.Fatalf("Insert(%d) diverged at step %d", k, i)
+			}
+		case 1:
+			if s.Delete(k) != oracle.Delete(k) {
+				t.Fatalf("Delete(%d) diverged at step %d", k, i)
+			}
+		case 2:
+			if s.Contains(k) != oracle.Contains(k) {
+				t.Fatalf("Contains(%d) diverged at step %d", k, i)
+			}
+		case 3:
+			if got, want := s.RangeScan(k, k+40), oracle.RangeScan(k, k+40); !slices.Equal(got, want) {
+				t.Fatalf("RangeScan(%d, %d) = %v, want %v at step %d", k, k+40, got, want, i)
+			}
+		}
+	}
+	if s.Len() != oracle.Len() {
+		t.Fatalf("Len = %d, want %d", s.Len(), oracle.Len())
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestConcurrentSharedBalance: concurrent updates and lookups on a small
+// shared key space leave exactly the keys whose successful inserts
+// outnumber their successful deletes, as seen by a quiescent scan.
+func TestConcurrentSharedBalance(t *testing.T) {
+	s := New()
+	const keyspace = 100
+	var balance [keyspace + 1]atomic.Int64
+	var wg sync.WaitGroup
+	workers := 2 * runtime.GOMAXPROCS(0)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < 2000; i++ {
+				k := int64(rng.Intn(keyspace)) + 1
+				switch rng.Intn(3) {
+				case 0:
+					if s.Insert(k) {
+						balance[k].Add(1)
+					}
+				case 1:
+					if s.Delete(k) {
+						balance[k].Add(-1)
+					}
+				default:
+					s.Contains(k)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	var want []int64
+	for k := int64(1); k <= keyspace; k++ {
+		if balance[k].Load() == 1 {
+			want = append(want, k)
+		}
+	}
+	if got := s.RangeScan(1, keyspace); !slices.Equal(got, want) {
+		t.Fatalf("quiescent scan = %v, want %v", got, want)
+	}
+	if s.Len() != len(want) {
+		t.Fatalf("Len = %d, want %d", s.Len(), len(want))
+	}
+}
+
+func TestBoundaryKeys(t *testing.T) {
+	s := New()
+	if !s.Insert(skiplist.MaxKey) || !s.Contains(skiplist.MaxKey) || !s.Delete(skiplist.MaxKey) {
+		t.Fatal("MaxKey roundtrip failed")
+	}
+}
 
 func TestQuiescentScan(t *testing.T) {
 	s := New()
