@@ -6,18 +6,64 @@ import (
 	"testing"
 
 	"repro/bst"
+	"repro/internal/lockbst"
+	"repro/internal/nbbst"
 	"repro/internal/seqset"
+	"repro/internal/skiplist"
+	"repro/internal/snapcollector"
 )
 
-// allSets enumerates the public constructors of the package's one set
+// set is the point-and-scan surface the table tests below run on.
+type set interface {
+	Insert(k int64) bool
+	Delete(k int64) bool
+	Contains(k int64) bool
+	RangeScan(a, b int64) []int64
+	Len() int
+}
+
+// maps enumerates the public constructors of the package's one set
 // type: the paper's single tree and a map whose range shards split the
-// tests' keys. The baseline structures are checked in their own packages.
-func allSets() map[string]func() *bst.ShardedMap {
+// tests' keys.
+func maps() map[string]func() *bst.ShardedMap {
 	return map[string]func() *bst.ShardedMap{
 		"pnbbst":  bst.New,
 		"sharded": func() *bst.ShardedMap { return bst.NewShardedRange(0, 255, 4) },
 	}
 }
+
+// allSets adds the baseline structures the benchmarks compare against to
+// maps, so the same sequential and quiescent checks hold for all of them.
+// The nbbst and skiplist scans are only quiescently consistent, which is
+// all these tests read.
+func allSets() map[string]func() set {
+	all := map[string]func() set{
+		"nbbst":         func() set { return unsafeScan[*nbbst.Tree]{nbbst.New()} },
+		"locked":        func() set { return lockbst.New() },
+		"skiplist":      func() set { return unsafeScan[*skiplist.List]{skiplist.New()} },
+		"snapcollector": func() set { return snapcollector.New() },
+	}
+	for name, mk := range maps() {
+		all[name] = func() set { return mk() }
+	}
+	return all
+}
+
+// unsafeScan serves RangeScan from a baseline's non-linearizable
+// RangeScanUnsafe.
+type unsafeScan[T interface {
+	Insert(k int64) bool
+	Delete(k int64) bool
+	Contains(k int64) bool
+	RangeScanUnsafe(a, b int64) []int64
+	Len() int
+}] struct{ s T }
+
+func (u unsafeScan[T]) Insert(k int64) bool          { return u.s.Insert(k) }
+func (u unsafeScan[T]) Delete(k int64) bool          { return u.s.Delete(k) }
+func (u unsafeScan[T]) Contains(k int64) bool        { return u.s.Contains(k) }
+func (u unsafeScan[T]) RangeScan(a, b int64) []int64 { return u.s.RangeScanUnsafe(a, b) }
+func (u unsafeScan[T]) Len() int                     { return u.s.Len() }
 
 func TestAllImplementationsAgainstOracle(t *testing.T) {
 	for name, mk := range allSets() {
@@ -111,7 +157,7 @@ func TestTreeFacadeExtras(t *testing.T) {
 }
 
 // TestConcurrentThroughInterface runs concurrent point updates through
-// each constructor's map, then checks Len against a full scan.
+// each set, then checks Len against a full scan.
 func TestConcurrentThroughInterface(t *testing.T) {
 	for name, mk := range allSets() {
 		t.Run(name, func(t *testing.T) {

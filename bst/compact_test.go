@@ -67,7 +67,7 @@ func TestSnapshotReleaseSemantics(t *testing.T) {
 // TestAutoCompactBoundsMemory: StartAutoCompact keeps the version graph
 // bounded under churn without any explicit Compact calls.
 func TestAutoCompactBoundsMemory(t *testing.T) {
-	for name, mk := range allSets() {
+	for name, mk := range maps() {
 		m := mk()
 		stop := m.StartAutoCompact(5 * time.Millisecond)
 		rng := workload.NewRNG(17)
