@@ -1,6 +1,7 @@
 package bst_test
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -18,44 +19,47 @@ import (
 func TestShardedMatchesSingleTree(t *testing.T) {
 	const keys = 1 << 12
 	for _, shards := range []int{1, 4, 16} {
-		m := bst.NewShardedRange(0, keys-1, shards)
-		oracle := seqset.New()
-		rng := workload.NewRNG(uint64(shards))
-		for op := 0; op < 30000; op++ {
-			k := rng.Intn(keys)
-			switch rng.Intn(5) {
-			case 0, 1:
-				if got, want := m.Insert(k), oracle.Insert(k); got != want {
-					t.Fatalf("shards=%d op=%d: Insert(%d) = %v, want %v", shards, op, k, got, want)
-				}
-			case 2:
-				if got, want := m.Delete(k), oracle.Delete(k); got != want {
-					t.Fatalf("shards=%d op=%d: Delete(%d) = %v, want %v", shards, op, k, got, want)
-				}
-			case 3:
-				if got, want := m.Contains(k), oracle.Contains(k); got != want {
-					t.Fatalf("shards=%d op=%d: Contains(%d) = %v, want %v", shards, op, k, got, want)
-				}
-			default:
-				a := rng.Intn(keys)
-				b := a + rng.Intn(keys/2)
-				got, want := m.RangeScan(a, b), oracle.RangeScan(a, b)
-				if len(got) != len(want) {
-					t.Fatalf("shards=%d: RangeScan(%d,%d) sizes %d vs %d", shards, a, b, len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("shards=%d: RangeScan(%d,%d)[%d] = %d, want %d", shards, a, b, i, got[i], want[i])
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			t.Parallel()
+			m := bst.NewShardedRange(0, keys-1, shards)
+			oracle := seqset.New()
+			rng := workload.NewRNG(uint64(shards))
+			for op := 0; op < 30000; op++ {
+				k := rng.Intn(keys)
+				switch rng.Intn(5) {
+				case 0, 1:
+					if got, want := m.Insert(k), oracle.Insert(k); got != want {
+						t.Fatalf("shards=%d op=%d: Insert(%d) = %v, want %v", shards, op, k, got, want)
+					}
+				case 2:
+					if got, want := m.Delete(k), oracle.Delete(k); got != want {
+						t.Fatalf("shards=%d op=%d: Delete(%d) = %v, want %v", shards, op, k, got, want)
+					}
+				case 3:
+					if got, want := m.Contains(k), oracle.Contains(k); got != want {
+						t.Fatalf("shards=%d op=%d: Contains(%d) = %v, want %v", shards, op, k, got, want)
+					}
+				default:
+					a := rng.Intn(keys)
+					b := a + rng.Intn(keys/2)
+					got, want := m.RangeScan(a, b), oracle.RangeScan(a, b)
+					if len(got) != len(want) {
+						t.Fatalf("shards=%d: RangeScan(%d,%d) sizes %d vs %d", shards, a, b, len(got), len(want))
+					}
+					for i := range got {
+						if got[i] != want[i] {
+							t.Fatalf("shards=%d: RangeScan(%d,%d)[%d] = %d, want %d", shards, a, b, i, got[i], want[i])
+						}
 					}
 				}
 			}
-		}
-		if m.Len() != oracle.Len() {
-			t.Fatalf("shards=%d: Len %d vs %d", shards, m.Len(), oracle.Len())
-		}
-		if err := m.CheckInvariants(); err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
+			if m.Len() != oracle.Len() {
+				t.Fatalf("shards=%d: Len %d vs %d", shards, m.Len(), oracle.Len())
+			}
+			if err := m.CheckInvariants(); err != nil {
+				t.Fatalf("shards=%d: %v", shards, err)
+			}
+		})
 	}
 }
 

@@ -104,20 +104,27 @@ func (t *Map[V]) rightmostLeaf(n *node[V], seq uint64) *node[V] {
 // readers, which hold no pin: help reads the info's body, and Compact
 // detaches and recycles it once every pin taken before the attempt was
 // decided has drained (pool.go). So the rare help pins first and
-// re-checks inProgress under the pin: an attempt still undecided then
-// cannot have its body recycled until this pin is released.
+// re-checks under the pin.
 func (t *Map[V]) helpIfPending(n *node[V]) {
-	if in := n.update.Load().info; inProgress(in) {
-		t.helpPinned(n.key, in)
+	if d := n.update.Load(); inProgress(d.info) {
+		t.helpPinned(n, d)
 	}
 }
 
-// helpPinned is helpIfPending's slow path: pin, re-check, help.
-func (t *Map[V]) helpPinned(k int64, in *info[V]) {
-	s := t.pool.pins.enter(k)
-	if inProgress(in) {
+// helpPinned is helpIfPending's slow path: pin, re-check, help. The
+// re-check covers both things an unpinned load can miss. An attempt
+// still undecided under the pin cannot have its body recycled until the
+// pin is released. And n still naming d means d's header is in its
+// current life, published and counted: the unpinned state load may have
+// read a header that was pooled and handed to a new attempt after n
+// stopped naming it (pool.go), possibly one not yet published, which
+// must not be helped. A header that n no longer names was decided before
+// it was replaced, so skipping it skips no help the scan needs.
+func (t *Map[V]) helpPinned(n *node[V], d *descriptor[V]) {
+	s := t.pool.pins.enter(n.key)
+	if n.update.Load() == d && inProgress(d.info) {
 		t.stats.helps.Add(1)
-		t.help(in)
+		t.help(d.info)
 	}
 	t.pool.pins.exit(s)
 }

@@ -6,8 +6,8 @@ import (
 	"sync/atomic"
 )
 
-// This file implements post-horizon memory recycling for nodes and for
-// the bodies of decided infos.
+// This file implements post-horizon memory recycling for nodes, for the
+// bodies of decided infos and for info headers no node names any more.
 //
 // Reclamation happens in three stages, all driven by Compact (prune.go):
 //
@@ -33,27 +33,39 @@ import (
 //     pushed to the per-tree node pool, and the infos have their bodies
 //     detached, zeroed and pushed to the per-tree body pool.
 //
-// Info headers are never pooled: live nodes keep pointing at a decided
-// info through their update fields for as long as they live, so its
-// address must keep naming that one attempt. Only the body
-// of an info that was never published (its first freeze CAS failed) is
-// pooled at once, its header left to the GC. A body is read only by help while
-// its attempt is undecided (help returns from the header's state alone
-// once it is decided) and by the drain, so after the pin drain nothing
-// can read a detached body through its old header.
+// Info headers follow their own path. A header's refs (types.go) reaches
+// zero once its body is detached and no node names it: every node that
+// did was re-frozen by a later attempt or poisoned. Compact learns of it
+// when it detaches the body (the drained commit's marked nodes, poisoned
+// in the same step, gave theirs up when the drain collected them), or
+// from the freed bits of the body whose freeze CAS replaced the last
+// reference. The header then waits two more pin drains
+// in the header lists before it is pooled (ripenHeaders). The first waits
+// out every traversal that read one of its descriptors from a node: after
+// it, none can compare, help or CAS with that descriptor. It also waits
+// out the owner of every attempt that copied such a descriptor into
+// body.oldUpdate, so once it ends each such attempt is decided. The
+// second waits out the helpers of those attempts, which may have pinned
+// after the first drain began and may still issue help's freeze CAS
+// expecting the descriptor; a helper that pins after the first drain
+// ended sees the attempt decided and issues no CAS. A header whose first
+// freeze CAS failed was never seen by anyone else and is pooled at once,
+// with its body.
 //
 // Why this preserves the paper's no-ABA argument (Lemma 7): a freeze CAS
 // succeeds spuriously only if its expected *descriptor is re-installed at
-// the same address. Descriptors live inside info headers, and no
-// header is ever handed out again, so that cannot happen
-// through infos. A node address or an info body re-enters circulation
-// only after (a) the horizon passed every registered reader and (b) the
-// pin drain proved no unregistered traversal from before the cut is
-// still running; any CAS issued after that is by a traversal that pinned
-// after the drain, whose targets were therefore read after the recycled
-// node left the tree, and any help issued after that sees the attempt
-// decided. DESIGN.md §10 has the full argument, including the
-// suspended-helper case.
+// the same address. A reused header's descriptors are installed only
+// after both drains, when no CAS that expects them from the header's
+// earlier life can still be issued. A node address or an info body
+// re-enters circulation only after (a) the horizon passed every
+// registered reader and (b) the pin drain proved no unregistered
+// traversal from before the cut is still running; any CAS issued after
+// that is by a traversal that pinned after the drain, whose targets were
+// therefore read after the recycled node left the tree, and any help
+// issued after that sees the attempt decided. Registered readers load
+// update and state without a pin, so they re-check the node's update
+// word under the pin before helping (helpPinned). DESIGN.md §10.3 has the
+// full argument, including the suspended-helper case.
 
 // poisonSeq is stored in the seq bits of a recycled node's seqLeaf while
 // it sits in the pool: larger than any real phase, so a stale readChild
@@ -97,12 +109,70 @@ func (p *pinTable) exit(i int) {
 	p.stripes[i].n.Add(-1)
 }
 
+// busy returns the set of stripes now non-zero: the start of a drain.
+func (p *pinTable) busy() uint64 {
+	var w uint64
+	for i := range p.stripes {
+		if p.stripes[i].n.Load() != 0 {
+			w |= 1 << uint(i)
+		}
+	}
+	return w
+}
+
+// stillBusy returns w without the stripes now observed at zero. A drain
+// that started with w is complete once this returns 0.
+func (p *pinTable) stillBusy(w uint64) uint64 {
+	for v := w; v != 0; v &= v - 1 {
+		i := bits.TrailingZeros64(v)
+		if p.stripes[i].n.Load() == 0 {
+			w &^= 1 << uint(i)
+		}
+	}
+	return w
+}
+
 // limboBatch holds one drain's garbage until the pin drain proves it
 // unreachable from any in-flight traversal.
 type limboBatch[V any] struct {
 	nodes   []*node[V] // marked nodes of drained commits: poisoned and pooled
 	infos   []*info[V] // drained attempt infos: bodies detached and pooled
 	waiting uint64     // bit i set ⇒ stripe i not yet observed idle since the batch's cuts
+}
+
+// headerList holds headers with zero refs through one pin drain. It
+// costs no memory of its own: a parked header carries a zeroed body (its
+// own, or one from the body pool) whose retireNext links the list, and
+// newInfo hands the body out again with the header. Headers that join a
+// list add the stripes busy at that moment to waiting, so every header
+// waits at least for the stripes busy when it joined.
+type headerList[V any] struct {
+	head, tail *info[V]
+	waiting    uint64
+}
+
+// push appends in, which must carry a body.
+func (l *headerList[V]) push(in *info[V]) {
+	if l.tail == nil {
+		l.head = in
+	} else {
+		l.tail.body.retireNext = in
+	}
+	l.tail = in
+}
+
+// splice moves o's headers to the end of l.
+func (l *headerList[V]) splice(o *headerList[V]) {
+	if o.head == nil {
+		return
+	}
+	if l.tail == nil {
+		l.head = o.head
+	} else {
+		l.tail.body.retireNext = o.head
+	}
+	l.tail = o.tail
+	o.head, o.tail = nil, nil
 }
 
 // poolState is the reclamation machinery embedded in Map.
@@ -138,8 +208,13 @@ type poolState[V any] struct {
 	ripe  []*limboBatch[V] // drained, recycled at the end of the pass
 	spare []*limboBatch[V] // emptied batches whose slices the next drains reuse
 
-	nodes  sync.Pool // of *node, poisoned
-	bodies sync.Pool // of *infoBody, zeroed, detached from drained or unpublished infos
+	// hdrs are the headers with zero refs in their first and in their
+	// second pin drain (ripenHeaders).
+	hdrs [2]headerList[V]
+
+	nodes   sync.Pool // of *node, poisoned
+	bodies  sync.Pool // of *infoBody, zeroed, detached from drained infos
+	headers sync.Pool // of *info with zero refs, carrying a zeroed body
 }
 
 // infoAlloc is an info header allocated together with its body: newInfo's
@@ -156,9 +231,10 @@ type infoAlloc[V any] struct {
 // SetPooling enables or disables node/info recycling. It defaults to on;
 // the off position exists for the E12 ablation and for allocation-budget
 // tests that need deterministic allocation counts. Turning pooling off
-// stops both reuse and limbo collection of nodes (garbage reverts to the
-// GC); objects already in the pools are simply never handed out again.
-// Drained infos have their bodies detached and zeroed either way.
+// stops both reuse and limbo collection of nodes and stops pooling info
+// headers (garbage reverts to the GC); objects already in the pools are
+// simply never handed out again. Drained infos have their bodies detached
+// and zeroed either way.
 func (t *Map[V]) SetPooling(on bool) { t.pool.pooling.Store(on) }
 
 // PoolingEnabled reports whether node/info recycling is on.
@@ -202,27 +278,57 @@ func (t *Map[V]) newNode(key int64, seq uint64, prev *node[V], leaf bool) *node[
 	return n
 }
 
-// newInfo hands out a fresh 48 B header in state ⊥ with its embedded
-// flag/mark descriptors wired to itself and a zeroed body attached: a
-// pooled body if there is one, else a new one.
+// newInfo hands out a 48 B header in state ⊥ with its embedded
+// flag/mark descriptors wired to itself, refs 1 (its body's reference)
+// and a zeroed body attached. With pooling on, a pooled header comes
+// with the body it carried through its drains and a fresh header takes
+// a pooled body when there is one; with pooling off header and body are
+// one allocation.
+//
+// A pooled header's descriptors are not rewritten: a registered reader
+// may still read them through a node it loaded before the header was
+// pooled. Resetting state to ⊥ is safe for the same reader because it
+// helps only after re-checking, under a pin, that the node still names
+// the descriptor (helpPinned), which a header not yet published fails.
 func (t *Map[V]) newInfo() *info[V] {
 	var in *info[V]
-	if t.pool.pooling.Load() {
-		in = new(info[V])
-		if v := t.pool.bodies.Get(); v != nil {
-			t.stats.poolInfoHits.Add(1)
-			in.body = v.(*infoBody[V])
-		} else {
-			in.body = new(infoBody[V])
-		}
-	} else {
+	if !t.pool.pooling.Load() {
 		a := new(infoAlloc[V])
 		in = &a.hdr
 		in.body = &a.body
+		in.flagD = descriptor[V]{typ: flag, info: in}
+		in.markD = descriptor[V]{typ: mark, info: in}
+	} else if v := t.pool.headers.Get(); v != nil {
+		in = v.(*info[V])
+		in.state.Store(stateUndecided)
+	} else {
+		in = new(info[V])
+		in.flagD = descriptor[V]{typ: flag, info: in}
+		in.markD = descriptor[V]{typ: mark, info: in}
+		in.body = t.getBody()
 	}
-	in.flagD = descriptor[V]{typ: flag, info: in}
-	in.markD = descriptor[V]{typ: mark, info: in}
+	in.refs.Store(1)
 	return in
+}
+
+// getBody returns a zeroed body: a pooled one if there is one, else a
+// new one.
+func (t *Map[V]) getBody() *infoBody[V] {
+	if v := t.pool.bodies.Get(); v != nil {
+		t.stats.poolInfoHits.Add(1)
+		return v.(*infoBody[V])
+	}
+	return new(infoBody[V])
+}
+
+// putHeader pools a header, carrying a zeroed body, that nothing can
+// reach through its old life any more: one whose two drains passed after
+// its refs reached zero, or one that was never published. With pooling
+// off it is left to the GC.
+func (t *Map[V]) putHeader(in *info[V]) {
+	if t.pool.pooling.Load() {
+		t.pool.headers.Put(in)
+	}
 }
 
 // retire pushes a published info onto the retire stack. Called by the
@@ -300,11 +406,7 @@ func (t *Map[V]) enqueueLimbo(b *limboBatch[V]) {
 		t.freeBatch(b)
 		return
 	}
-	for i := range t.pool.pins.stripes {
-		if t.pool.pins.stripes[i].n.Load() != 0 {
-			b.waiting |= 1 << uint(i)
-		}
-	}
+	b.waiting = t.pool.pins.busy()
 	t.pool.limbo = append(t.pool.limbo, b)
 }
 
@@ -323,13 +425,7 @@ func (t *Map[V]) enqueueLimbo(b *limboBatch[V]) {
 func (t *Map[V]) ripen() {
 	kept := t.pool.limbo[:0]
 	for _, b := range t.pool.limbo {
-		for w := b.waiting; w != 0; w &= w - 1 {
-			i := bits.TrailingZeros64(w)
-			if t.pool.pins.stripes[i].n.Load() == 0 {
-				b.waiting &^= 1 << uint(i)
-			}
-		}
-		if b.waiting == 0 {
+		if b.waiting = t.pool.pins.stillBusy(b.waiting); b.waiting == 0 {
 			t.pool.ripe = append(t.pool.ripe, b)
 		} else {
 			kept = append(kept, b)
@@ -340,14 +436,33 @@ func (t *Map[V]) ripen() {
 }
 
 // recycleRipe recycles the ripe batches' info bodies and pools their
-// nodes, returning how many of each it handled.
+// nodes, returning how many of each it handled. A body's release drops
+// its header's last reference unless a node still names the header
+// (drainInfo already took the references of the marked nodes poisoned
+// here). A header left with none starts its two drains, and so does every
+// header a body's freeze CASes left with none (freed); with pooling off
+// they are left to the GC.
 func (t *Map[V]) recycleRipe() (nodes, infos int) {
+	first := &t.pool.hdrs[0]
+	parked := first.tail
+	pooling := t.pool.pooling.Load()
 	for i, b := range t.pool.ripe {
-		for _, in := range b.infos {
-			t.recycleBody(in)
-		}
 		for _, n := range b.nodes {
 			t.poisonAndPutNode(n)
+		}
+		for _, in := range b.infos {
+			body := in.body
+			for f := body.freed.Load(); pooling && f != 0; f &= f - 1 {
+				h := body.oldUpdate[bits.TrailingZeros32(f)].info
+				h.body = t.getBody()
+				first.push(h)
+			}
+			if in.refs.Add(-1) == 0 && pooling { // the body's reference was the last
+				*body = infoBody[V]{}
+				first.push(in)
+			} else {
+				t.recycleBody(in)
+			}
 		}
 		nodes += len(b.nodes)
 		infos += len(b.infos)
@@ -355,7 +470,49 @@ func (t *Map[V]) recycleRipe() (nodes, infos int) {
 		t.pool.ripe[i] = nil
 	}
 	t.pool.ripe = t.pool.ripe[:0]
+	if first.tail != parked {
+		first.waiting |= t.pool.pins.busy()
+	}
 	return nodes, infos
+}
+
+// ripenHeaders advances the two header lists and returns how many
+// headers it pooled. The second list's headers are pooled once its
+// waiting stripes were all seen idle. The first list's headers, once
+// its stripes were, have finished their first drain and join the second
+// list, adding the stripes busy now, after that drain ended. On a
+// quiescent tree both drains end in one call, every stripe seen idle
+// twice in a row (once when the headers were parked, once here), so a
+// quiescent Compact leaves no header waiting. Compact calls it before
+// recycleRipe parks new headers, so a list's stripes were observed busy
+// one pass earlier and a steady load cannot starve it, and again after.
+// Called under compactMu.
+func (t *Map[V]) ripenHeaders() (pooled int) {
+	p := &t.pool
+	first, second := &p.hdrs[0], &p.hdrs[1]
+	if second.waiting = p.pins.stillBusy(second.waiting); second.waiting == 0 {
+		pooled = t.poolHeaders(second)
+	}
+	if first.waiting = p.pins.stillBusy(first.waiting); first.waiting == 0 && first.head != nil {
+		second.splice(first)
+		if second.waiting |= p.pins.busy(); second.waiting == 0 {
+			pooled += t.poolHeaders(second)
+		}
+	}
+	return pooled
+}
+
+// poolHeaders empties a header list into the header pool and returns
+// how many headers it held.
+func (t *Map[V]) poolHeaders(l *headerList[V]) (n int) {
+	for in := l.head; in != nil; n++ {
+		next := in.body.retireNext
+		in.body.retireNext = nil
+		t.putHeader(in)
+		in = next
+	}
+	l.head, l.tail = nil, nil
+	return n
 }
 
 // limboSize reports how many batches are awaiting their pin drain

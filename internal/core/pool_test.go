@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"runtime/debug"
 	"sort"
 	"sync"
@@ -253,12 +254,19 @@ func TestAllocBudgetsUnpooled(t *testing.T) {
 	}
 }
 
+// TestPoolingHalvesUpdateAllocs: a warm pooled Insert+Delete pair
+// allocates nothing — its nodes, its info bodies and its info headers
+// all come from the pools — where the unpooled pair allocates six
+// objects. The count is exact: every malloc of the 300 measured pairs.
 func TestPoolingHalvesUpdateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are perturbed by the race detector")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a GC would clear the pools mid-measure
-	const keys = 1 << 10
+	// One P, as testing.AllocsPerRun uses: the pools' per-P stock stays
+	// where Compact put it.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const keys, pairs = 1 << 10, 300
 	measure := func(pooling bool) float64 {
 		tr := New()
 		tr.SetPooling(pooling)
@@ -274,17 +282,23 @@ func TestPoolingHalvesUpdateAllocs(t *testing.T) {
 			}
 			tr.Compact()
 		}
-		k := int64(0)
-		return testing.AllocsPerRun(300, func() {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		for k := int64(0); k < pairs; k++ {
 			tr.Delete(k % keys)
 			tr.Insert(k % keys)
-			k++
-		})
+		}
+		runtime.ReadMemStats(&ms)
+		return float64(ms.Mallocs-before) / pairs
 	}
 	unpooled := measure(false)
 	pooled := measure(true)
-	if pooled > unpooled/2 {
-		t.Errorf("pooled churn = %.2f allocs/pair, unpooled = %.2f; want >=50%% reduction", pooled, unpooled)
+	if pooled != 0 {
+		t.Errorf("pooled churn = %.3f allocs/pair, unpooled = %.2f; want 0: nodes, bodies and headers all from the pools", pooled, unpooled)
+	}
+	if unpooled != 6 {
+		t.Errorf("unpooled churn = %.3f allocs/pair, want 6 (4 nodes + 2 infos)", unpooled)
 	}
 }
 

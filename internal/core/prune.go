@@ -13,7 +13,8 @@ package core
 // sibling: a marked node left the tree at seq, its only parent slot now
 // leads to newChild, and every older parent it had was itself marked at a
 // phase <= seq (DESIGN.md §6.2). Those nodes, and the drained infos'
-// bodies, go to the limbo → pin-drain → pool pipeline (pool.go). An
+// bodies, go to the limbo → pin-drain → pool pipeline (pool.go), and the
+// info headers they leave unnamed follow after two more drains. An
 // aborted attempt changed nothing in the tree; its info is drained at
 // once. An attempt above the horizon (or, defensively, still undecided)
 // waits for a later pass.
@@ -27,7 +28,11 @@ package core
 // through ReadChild, which retries the operation at a fresh phase when it
 // meets a cut chain (tree.go).
 
-import "repro/internal/obs"
+import (
+	"math/bits"
+
+	"repro/internal/obs"
+)
 
 // CompactStats reports one Compact pass.
 type CompactStats struct {
@@ -38,6 +43,7 @@ type CompactStats struct {
 	GarbageNodes  int    // nodes this pass moved into limbo (0 with pooling off)
 	RecycledNodes int    // limbo nodes whose pin drain completed and entered the pool
 	RecycledInfos int    // limbo infos whose pin drain completed and whose bodies were detached and recycled
+	PooledHeaders int    // info headers pooled: no node named them and two pin drains passed since (0 with pooling off)
 }
 
 // Compact prunes all versions behind the current reclamation horizon,
@@ -70,7 +76,9 @@ func (t *Map[V]) Compact() CompactStats {
 	t.drainRetired(h, &cs)
 	t.ripen()
 	t.drainRetired(h, &cs)
+	cs.PooledHeaders = t.ripenHeaders()
 	cs.RecycledNodes, cs.RecycledInfos = t.recycleRipe()
+	cs.PooledHeaders += t.ripenHeaders()
 	cs.LiveNodes = p.liveNodes
 
 	t.stats.compactions.Add(1)
@@ -82,9 +90,10 @@ func (t *Map[V]) Compact() CompactStats {
 	// pass pruned behind; payload = pruned links, recycled objects, live
 	// nodes after the pass. Shard is -1: the tree does not know its index
 	// in a sharded set.
-	if cs.PrunedLinks > 0 || cs.GarbageNodes > 0 || cs.RecycledNodes > 0 || cs.RecycledInfos > 0 {
+	recycled := cs.RecycledNodes + cs.RecycledInfos + cs.PooledHeaders
+	if cs.PrunedLinks > 0 || cs.GarbageNodes > 0 || recycled > 0 {
 		obs.Emit(obs.EventCompact, obs.KindNone, -1, cs.Horizon,
-			int64(cs.PrunedLinks), int64(cs.RecycledNodes+cs.RecycledInfos), int64(cs.LiveNodes))
+			int64(cs.PrunedLinks), int64(recycled), int64(cs.LiveNodes))
 	}
 	return cs
 }
@@ -133,6 +142,11 @@ func (t *Map[V]) drainInfo(in *info[V], h uint64, b *limboBatch[V], cs *CompactS
 					b.nodes = append(b.nodes, body.nodes[i])
 				}
 			}
+			// The marked nodes name in for good (a committed mark is
+			// never replaced) and are poisoned when b is recycled, the
+			// step that also drops the body's reference. Until then that
+			// reference keeps refs above zero, so theirs go now.
+			in.refs.Add(-int32(bits.OnesCount8(body.markMask)))
 		}
 		t.pool.liveNodes += int(body.delta)
 	case stateAbort:

@@ -329,13 +329,40 @@ func TestHelpDecidedInfoWithoutBody(t *testing.T) {
 	}
 }
 
-// TestUnpublishedInfoPoolsBodyOnly: an info whose first freeze CAS failed
-// gives up its zeroed body (its header goes to the GC), and the body
-// reaches the body pool only with pooling on.
-func TestUnpublishedInfoPoolsBodyOnly(t *testing.T) {
-	tr := New()
+// TestUnpublishedInfoPooledWhole: an info whose first freeze CAS failed
+// was never seen by another goroutine, so execute pools its header at
+// once, carrying its zeroed body, when pooling is on, and leaves both to
+// the GC when it is off. recycleBody, which a drained info that nodes
+// still name goes through, detaches and zeroes the body and pools it
+// only with pooling on.
+func TestUnpublishedInfoPooledWhole(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // pool contents stay exact
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, pooling := range []bool{true, false} {
+		tr := New()
 		tr.SetPooling(pooling)
+		tr.Insert(5)
+		_, p, l := tr.search(5, tr.phase())
+		stale := tr.newInfo() // decided and never installed, so p's freeze CAS fails
+		stale.state.Store(stateAbort)
+		takePooledHeaders(tr)
+		if tr.execute([maxFreeze]*node[struct{}]{p, l}, [maxFreeze]*descriptor[struct{}]{&stale.flagD, l.update.Load()},
+			2, 1<<1, p, l, tr.newLeaf(5, tr.phase()), tr.phase(), 0) {
+			t.Fatalf("pooling %v: an attempt whose flag CAS expected a stale value committed", pooling)
+		}
+		pooled := takePooledHeaders(tr)
+		switch {
+		case raceEnabled:
+			// sync.Pool drops a random share of puts under the race
+			// detector, so the pool's contents are not exact.
+		case !pooling && len(pooled) != 0:
+			t.Fatalf("pooling off: %d headers pooled", len(pooled))
+		case pooling && len(pooled) != 1:
+			t.Fatalf("pooling on: %d headers pooled, want the unpublished one", len(pooled))
+		case pooling && (pooled[0].body == nil || pooled[0].body.par != nil || pooled[0].body.nn != 0):
+			t.Fatal("pooling on: the unpublished header was pooled without its zeroed body")
+		}
+
 		in := tr.newInfo()
 		body := in.body
 		body.nn, body.delta, body.seq = 2, 2, 5

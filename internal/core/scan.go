@@ -131,8 +131,8 @@ func (s *scanner[V]) scanInto(n *node[V]) bool {
 	// that every phase-<=seq update on the traversed region is resolved
 	// (committed into T_seq or aborted) before we descend. The check is
 	// helpIfPending's, written out so it stays inline on the scan path.
-	if in := n.update.Load().info; inProgress(in) {
-		s.t.helpPinned(n.key, in)
+	if d := n.update.Load(); inProgress(d.info) {
+		s.t.helpPinned(n, d)
 	}
 	if s.a > n.key { // whole range is in the right subtree
 		return s.scanInto(mustReadChild(n, false, s.seq))

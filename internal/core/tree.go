@@ -448,15 +448,36 @@ func (t *Map[V]) execute(nodes [maxFreeze]*node[V], oldUpdate [maxFreeze]*descri
 	in := t.newInfo()
 	*in.body = infoBody[V]{nn: nn, markMask: markMask, delta: delta, nodes: nodes, oldUpdate: oldUpdate,
 		par: par, oldChild: oldChild, newChild: newChild, seq: seq}
-	if nodes[0].update.CompareAndSwap(oldUpdate[0], &in.flagD) { // freeze (flag) CAS
+	if t.freeze(nodes[0], oldUpdate[0], &in.flagD, in.body, 0) { // freeze (flag) CAS
 		ok := t.help(in)
 		t.retire(in)
 		return ok
 	}
-	// The attempt was never published: no other goroutine can have seen
-	// in, so its body can be reused immediately; the header goes to the GC.
-	t.recycleBody(in)
+	// The attempt was never published: no node names in and no other
+	// goroutine can reach its body, so both are reused at once.
+	*in.body = infoBody[V]{}
+	t.putHeader(in)
 	return false
+}
+
+// freeze is one freeze CAS (paper lines 95 and 118): install d, a
+// descriptor of the attempt whose body is b, on n if n still holds old,
+// the value b.oldUpdate[i] read before the attempt was built. It keeps
+// the header reference counts (types.go): d's header is counted before
+// the CAS, so its count never falls below the nodes naming it, and old's
+// header loses n's reference after a successful CAS. If that was its
+// last reference, bit i of b.freed hands the header to Compact, which
+// reads the bit after b's attempt is drained.
+func (t *Map[V]) freeze(n *node[V], old, d *descriptor[V], b *infoBody[V], i int) bool {
+	d.info.refs.Add(1)
+	if !n.update.CompareAndSwap(old, d) {
+		d.info.refs.Add(-1)
+		return false
+	}
+	if old != t.dummy && old.info.refs.Add(-1) == 0 {
+		b.freed.Or(1 << uint(i))
+	}
+	return true
 }
 
 // help implements Help (lines 107-128). A decided attempt is answered from
@@ -488,7 +509,7 @@ func (t *Map[V]) help(in *info[V]) bool {
 		if b.markMask&(1<<uint(i)) != 0 {
 			d = &in.markD
 		}
-		b.nodes[i].update.CompareAndSwap(b.oldUpdate[i], d) // freeze CAS
+		t.freeze(b.nodes[i], b.oldUpdate[i], d, b, i) // freeze CAS
 		cont = b.nodes[i].update.Load().info == in
 	}
 	if cont {

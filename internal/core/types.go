@@ -38,12 +38,14 @@ const (
 // info embeds exactly one flag descriptor and one mark descriptor
 // (flagD/markD below), both pointing back at it, so installing a freeze
 // costs no allocation: the CAS installs &in.flagD or &in.markD. The
-// descriptor values are immutable, and an info header is never recycled
-// (only bodies return to a pool, see pool.go), so a descriptor address
-// names one attempt for as long as anything can hold it and CAS on the *descriptor
-// pointer remains equivalent to CAS on the packed word: the paper's
-// no-ABA argument (Lemma 7) — every successful CAS installs a pointer to
-// an Info created after the expected value was read — holds unchanged.
+// descriptor values are immutable, even across reuse of their header, so
+// CAS on the *descriptor pointer is equivalent to CAS on the packed word
+// as long as no CAS ever expects a descriptor whose header has since been
+// handed to a new attempt. Header reuse keeps that (pool.go, DESIGN.md
+// §10.3): a header is pooled only once no node names it and two pin
+// drains have passed, so the paper's no-ABA argument (Lemma 7) — every
+// successful CAS installs a pointer to an Info created after the expected
+// value was read — holds unchanged.
 type descriptor[V any] struct {
 	typ  descType
 	info *info[V]
@@ -57,39 +59,57 @@ const maxFreeze = 4
 // the part node update fields point at. It describes one attempt of an
 // Insert, Put or Delete so that any process can complete (help) or abort
 // it. Readers of a decided attempt consult only its state (through the
-// descriptors' types), so the header holds just that plus the body
-// pointer: six words for every V, the 48 B size class (pinned by
-// TestInfoLayout). A published header is never recycled: nodes keep
-// pointing at it through their update fields for as long as they live.
+// descriptors' types), so the header holds just that, a reference count
+// and the body pointer: six words for every V, the 48 B size class
+// (pinned by TestInfoLayout).
 //
 // The rest of the attempt lives in the body, which is read only by help
 // while the attempt is undecided and by Compact's drain. Every published
 // info is pushed onto the tree's retire stack (body.retireNext) when its
 // attempt returns, and once the pin drain proves no helper that saw the
-// attempt undecided is still running, Compact detaches the body
-// (body = nil), zeroes it and pools it for a later attempt (pool.go).
+// attempt undecided is still running, Compact zeroes the body and reuses
+// it (pool.go): detached (body = nil) and pooled while nodes still name
+// the header, else left attached to carry the header through its drains.
+//
+// The header itself is pooled once refs reaches zero and two more pin
+// drains have passed (pool.go, DESIGN.md §10.3). refs counts the nodes
+// whose update field names the header, plus one for its attached body:
+// a freeze CAS adds one before it tries to install a descriptor (and
+// takes it back if the CAS fails), a successful one subtracts one from
+// the header it replaced, and Compact subtracts one when it detaches the
+// body and one per marked node when it collects a drained commit's
+// marked nodes for poisoning. So refs never falls below the number of
+// nodes naming the header other than those collected nodes, which no
+// traversal can reach and which are poisoned in the same step that drops
+// the body's reference; it reaches zero once, after the body is gone and
+// no node names the header.
 type info[V any] struct {
 	state atomic.Int32 // ⊥ / Try / Commit / Abort
+	refs  atomic.Int32 // naming nodes + 1 while the body is attached; fits state's padding
 
 	// Pre-typed freeze descriptors pointing back at this info. They are
-	// initialized once (newInfo) and never change, even across pool
-	// reuse: flagD = {flag, this}, markD = {mark, this}.
+	// initialized once, when newInfo allocates the header, and never
+	// change, even across pool reuse: flagD = {flag, this},
+	// markD = {mark, this}.
 	flagD, markD descriptor[V]
 
 	// body is the attempt's description; nil for the dummy and once the
-	// body was recycled. Written by newInfo and by Compact's recycling,
+	// body was recycled while nodes still name the header. A header with
+	// zero refs carries a zeroed body through its drains into the header
+	// pool (pool.go). Written by newInfo and by Compact's recycling,
 	// which runs only after the pin drain, so no helper reads it then.
 	body *infoBody[V]
 }
 
 // infoBody is the recyclable part of an Info object: everything help
 // needs to complete an undecided attempt and Compact needs to drain a
-// decided one. All fields except retireNext are immutable between
-// newInfo and the attempt's decision.
+// decided one. All fields except freed and retireNext are immutable
+// between newInfo and the attempt's decision.
 type infoBody[V any] struct {
 	nn        uint8                     // number of nodes to freeze
 	markMask  uint8                     // bit i set ⇒ nodes[i] is marked (mark ⊆ nodes)
 	delta     int8                      // live-node change on commit: +2 insert, -2 delete, 0 replace
+	freed     atomic.Uint32             // bit i set ⇒ the freeze of nodes[i] dropped oldUpdate[i]'s header to zero refs
 	nodes     [maxFreeze]*node[V]       // nodes to freeze, in freeze order; nodes[0] is flagged first
 	oldUpdate [maxFreeze]*descriptor[V] // expected update values for the freeze CASes
 	par       *node[V]                  // node whose child pointer changes (an element of nodes)
@@ -99,7 +119,8 @@ type infoBody[V any] struct {
 
 	// retireNext links the tree's retire stack (intrusive, so a push is
 	// one CAS and no allocation). Written by the owner before its push
-	// CAS; read and reset only by Compact after popping.
+	// CAS; read and reset only by Compact after popping. In a body that
+	// carries a header with zero refs it links Compact's header lists.
 	retireNext *info[V]
 }
 

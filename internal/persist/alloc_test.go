@@ -55,4 +55,31 @@ func TestUpdateAllocBudget(t *testing.T) {
 	if got := testing.AllocsPerRun(200, func() { p.ApplyBatch(ops, res) }); got != mapBatch {
 		t.Errorf("persist ApplyBatch(64 ops) = %v allocs/call, bare map = %v; want no phase vector", got, mapBatch)
 	}
+
+	// Effective updates: 16 Inserts of absent keys, then 16 Deletes of
+	// them. Both maps have run the same history, so their trees allocate
+	// the same; the WAL's record group must add nothing.
+	ins := make([]bst.BatchOp, 16)
+	del := make([]bst.BatchOp, 16)
+	for i := range ins {
+		k := int64(2*i + 1)
+		ins[i] = bst.BatchOp{Kind: bst.BatchInsert, Key: k}
+		del[i] = bst.BatchOp{Kind: bst.BatchDelete, Key: k}
+	}
+	updates := func(apply func([]bst.BatchOp)) float64 {
+		return testing.AllocsPerRun(100, func() {
+			for _, batch := range [][]bst.BatchOp{ins, del} {
+				apply(batch)
+				for i := range batch {
+					if !res[i] {
+						t.Fatalf("%v of %d was not effective", batch[i].Kind, batch[i].Key)
+					}
+				}
+			}
+		})
+	}
+	mapUpdates := updates(func(b []bst.BatchOp) { m.ApplyBatchPhases(b, res, phases) })
+	if got := updates(func(b []bst.BatchOp) { p.ApplyBatch(b, res) }); got != mapUpdates {
+		t.Errorf("persist ApplyBatch of 16 effective Inserts then 16 Deletes = %v allocs, bare map = %v; want no record group allocation", got, mapUpdates)
+	}
 }

@@ -179,15 +179,19 @@ func (p *Map) apply(kind bst.BatchKind, rec byte, k int64) bool {
 // updates are logged as ONE frame, so replay applies them all-or-nothing
 // and a torn tail can never expose half a batch.
 func (p *Map) ApplyBatch(ops []bst.BatchOp, res []bool) {
-	var stack [64]uint64 // batches of up to 64 ops keep their phases on the stack
+	// Batches of up to 64 ops keep their phases and their record group
+	// on the stack.
+	var stack [64]uint64
+	var groupBuf [64 * pointRecordMax]byte
 	var phases []uint64
+	var group []byte
 	if len(ops) <= len(stack) {
 		phases = stack[:len(ops)]
+		group = groupBuf[:0]
 	} else {
 		phases = make([]uint64, len(ops))
 	}
 	p.m.ApplyBatchPhases(ops, res, phases)
-	var group []byte
 	var maxPhase uint64
 	for i, op := range ops {
 		if !res[i] {
@@ -205,7 +209,7 @@ func (p *Map) ApplyBatch(ops []bst.BatchOp, res []bool) {
 			maxPhase = phases[i]
 		}
 	}
-	if group != nil {
+	if len(group) > 0 {
 		p.mustAppend(group, maxPhase)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -403,5 +404,35 @@ func TestConcurrentClients(t *testing.T) {
 	case err := <-errc:
 		t.Fatal(err)
 	default:
+	}
+}
+
+// TestContainsRoundTripAllocs: a CONTAINS round trip over loopback — the
+// client's encode and decode, the server's decode, store call and reply
+// encode — allocates nothing, counted over every malloc of the process.
+func TestContainsRoundTripAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are perturbed by the race detector")
+	}
+	s, m := startTestServer(t, Config{})
+	c := dialT(t, s)
+	m.Insert(7)
+	for i := 0; i < 100; i++ { // warm the connection's buffers
+		if ok, err := c.Contains(7); err != nil || !ok {
+			t.Fatalf("Contains(7) = %v, %v", ok, err)
+		}
+	}
+	const trips = 1000
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.Mallocs
+	for i := 0; i < trips; i++ {
+		if ok, err := c.Contains(int64(i & 15)); err != nil || ok != (i&15 == 7) {
+			t.Fatalf("Contains(%d) = %v, %v", i&15, ok, err)
+		}
+	}
+	runtime.ReadMemStats(&ms)
+	if got := float64(ms.Mallocs-before) / trips; got != 0 {
+		t.Errorf("Contains round trip = %.3f allocs, want 0", got)
 	}
 }

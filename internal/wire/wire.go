@@ -339,11 +339,12 @@ func (e *Encoder) MLoad(keys []int64, last bool) error {
 
 // Bool writes a TagBool reply.
 func (e *Encoder) Bool(v bool) error {
-	b := byte(0)
+	buf := e.scratch[5:6]
+	buf[0] = 0
 	if v {
-		b = 1
+		buf[0] = 1
 	}
-	return e.fixed(TagBool, []byte{b})
+	return e.fixed(TagBool, buf)
 }
 
 // Int writes a TagInt reply.

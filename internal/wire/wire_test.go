@@ -370,3 +370,29 @@ func TestClientPipelining(t *testing.T) {
 		}
 	}
 }
+
+// TestReplyEncodeAllocs: encoding a point reply allocates nothing; every
+// fixed-size payload is staged in the encoder's scratch array.
+func TestReplyEncodeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are perturbed by the race detector")
+	}
+	enc := NewEncoder(io.Discard)
+	vec := make([]bool, 64)
+	encodes := map[string]func() error{
+		"Bool":    func() error { return enc.Bool(true) },
+		"Int":     func() error { return enc.Int(-7) },
+		"Key":     func() error { return enc.Key(42, true) },
+		"Done":    func() error { return enc.Done(1 << 40) },
+		"BoolVec": func() error { return enc.BoolVec(vec) },
+	}
+	for name, encode := range encodes {
+		if got := testing.AllocsPerRun(1000, func() {
+			if err := encode(); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 0 {
+			t.Errorf("%s allocs/encode = %v, want 0", name, got)
+		}
+	}
+}
