@@ -299,6 +299,7 @@ func (t *Map[V]) newInfo() *info[V] {
 		in.flagD = descriptor[V]{typ: flag, info: in}
 		in.markD = descriptor[V]{typ: mark, info: in}
 	} else if v := t.pool.headers.Get(); v != nil {
+		t.stats.poolInfoHits.Add(1)
 		in = v.(*info[V])
 		in.state.Store(stateUndecided)
 	} else {
@@ -321,6 +322,12 @@ func (t *Map[V]) getBody() *infoBody[V] {
 	return new(infoBody[V])
 }
 
+// putBody pools a zeroed, detached body.
+func (t *Map[V]) putBody(b *infoBody[V]) {
+	t.pool.bodies.Put(b)
+	t.stats.poolInfoPuts.Add(1)
+}
+
 // putHeader pools a header, carrying a zeroed body, that nothing can
 // reach through its old life any more: one whose two drains passed after
 // its refs reached zero, or one that was never published. With pooling
@@ -328,6 +335,7 @@ func (t *Map[V]) getBody() *infoBody[V] {
 func (t *Map[V]) putHeader(in *info[V]) {
 	if t.pool.pooling.Load() {
 		t.pool.headers.Put(in)
+		t.stats.poolInfoPuts.Add(1)
 	}
 }
 
@@ -355,8 +363,7 @@ func (t *Map[V]) recycleBody(in *info[V]) {
 	in.body = nil
 	*b = infoBody[V]{}
 	if t.pool.pooling.Load() {
-		t.pool.bodies.Put(b)
-		t.stats.poolInfoPuts.Add(1)
+		t.putBody(b)
 	}
 }
 
@@ -441,7 +448,9 @@ func (t *Map[V]) ripen() {
 // (drainInfo already took the references of the marked nodes poisoned
 // here). A header left with none starts its two drains, and so does every
 // header a body's freeze CASes left with none (freed); with pooling off
-// they are left to the GC.
+// they are left to the GC. A parked header needs a zeroed body to carry:
+// its own if it still has it, else the drained body that freed it, and
+// only past the first such header one from the body pool.
 func (t *Map[V]) recycleRipe() (nodes, infos int) {
 	first := &t.pool.hdrs[0]
 	parked := first.tail
@@ -451,17 +460,34 @@ func (t *Map[V]) recycleRipe() (nodes, infos int) {
 			t.poisonAndPutNode(n)
 		}
 		for _, in := range b.infos {
+			if !pooling {
+				in.refs.Add(-1)
+				t.recycleBody(in)
+				continue
+			}
 			body := in.body
-			for f := body.freed.Load(); pooling && f != 0; f &= f - 1 {
-				h := body.oldUpdate[bits.TrailingZeros32(f)].info
-				h.body = t.getBody()
+			var freed [maxFreeze]*info[V]
+			nf := 0
+			for f := body.freed.Load(); f != 0; f &= f - 1 {
+				freed[nf] = body.oldUpdate[bits.TrailingZeros32(f)].info
+				nf++
+			}
+			*body = infoBody[V]{}
+			if in.refs.Add(-1) == 0 { // the body's reference was the last
+				first.push(in)
+				body = nil
+			} else {
+				in.body = nil
+			}
+			for _, h := range freed[:nf] {
+				if h.body = body; body == nil {
+					h.body = t.getBody()
+				}
+				body = nil
 				first.push(h)
 			}
-			if in.refs.Add(-1) == 0 && pooling { // the body's reference was the last
-				*body = infoBody[V]{}
-				first.push(in)
-			} else {
-				t.recycleBody(in)
+			if body != nil {
+				t.putBody(body)
 			}
 		}
 		nodes += len(b.nodes)

@@ -346,6 +346,11 @@ func TestUnpublishedInfoPooledWhole(t *testing.T) {
 		stale := tr.newInfo() // decided and never installed, so p's freeze CAS fails
 		stale.state.Store(stateAbort)
 		takePooledHeaders(tr)
+		want := uint64(0) // PoolInfoPuts' rise per put: none with pooling off
+		if pooling {
+			want = 1
+		}
+		puts := tr.Stats().PoolInfoPuts
 		if tr.execute([maxFreeze]*node[struct{}]{p, l}, [maxFreeze]*descriptor[struct{}]{&stale.flagD, l.update.Load()},
 			2, 1<<1, p, l, tr.newLeaf(5, tr.phase()), tr.phase(), 0) {
 			t.Fatalf("pooling %v: an attempt whose flag CAS expected a stale value committed", pooling)
@@ -361,6 +366,11 @@ func TestUnpublishedInfoPooledWhole(t *testing.T) {
 			t.Fatalf("pooling on: %d headers pooled, want the unpublished one", len(pooled))
 		case pooling && (pooled[0].body == nil || pooled[0].body.par != nil || pooled[0].body.nn != 0):
 			t.Fatal("pooling on: the unpublished header was pooled without its zeroed body")
+		case pooling && pooled[0].refs.Load() != 0:
+			t.Fatalf("pooling on: the unpublished header was pooled with refs %d, want 0", pooled[0].refs.Load())
+		}
+		if got := tr.Stats().PoolInfoPuts - puts; got != want {
+			t.Fatalf("pooling %v: the unpublished header raised PoolInfoPuts by %d, want %d", pooling, got, want)
 		}
 
 		in := tr.newInfo()
@@ -368,14 +378,10 @@ func TestUnpublishedInfoPooledWhole(t *testing.T) {
 		body.nn, body.delta, body.seq = 2, 2, 5
 		body.par = tr.newLeaf(1, 0)
 		body.nodes[0] = body.par
-		puts := tr.Stats().PoolInfoPuts
+		puts = tr.Stats().PoolInfoPuts
 		tr.recycleBody(in)
 		if in.body != nil || *body != (infoBody[struct{}]{}) {
 			t.Fatalf("pooling %v: info kept its body or the body kept references", pooling)
-		}
-		want := uint64(0)
-		if pooling {
-			want = 1
 		}
 		if got := tr.Stats().PoolInfoPuts - puts; got != want {
 			t.Fatalf("pooling %v: PoolInfoPuts rose by %d, want %d", pooling, got, want)

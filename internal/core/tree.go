@@ -454,8 +454,10 @@ func (t *Map[V]) execute(nodes [maxFreeze]*node[V], oldUpdate [maxFreeze]*descri
 		return ok
 	}
 	// The attempt was never published: no node names in and no other
-	// goroutine can reach its body, so both are reused at once.
+	// goroutine can reach its body, so both are reused at once, the
+	// header with zero refs like every pooled header.
 	*in.body = infoBody[V]{}
+	in.refs.Store(0)
 	t.putHeader(in)
 	return false
 }

@@ -188,9 +188,9 @@ func (s *Server) promShards(b *bytes.Buffer, shards []bst.ShardInfo) {
 		u(func(sh bst.ShardInfo) uint64 { return sh.PoolNodeHits }))
 	family("bstserver_shard_pool_node_puts_total", "counter", "Garbage nodes returned to the recycling pool.",
 		u(func(sh bst.ShardInfo) uint64 { return sh.PoolNodePuts }))
-	family("bstserver_shard_pool_info_hits_total", "counter", "Info bodies served from the recycling pool.",
+	family("bstserver_shard_pool_info_hits_total", "counter", "Info headers and bare info bodies taken from the recycling pools.",
 		u(func(sh bst.ShardInfo) uint64 { return sh.PoolInfoHits }))
-	family("bstserver_shard_pool_info_puts_total", "counter", "Info bodies returned to the recycling pool.",
+	family("bstserver_shard_pool_info_puts_total", "counter", "Info headers and bare info bodies returned to the recycling pools.",
 		u(func(sh bst.ShardInfo) uint64 { return sh.PoolInfoPuts }))
 }
 

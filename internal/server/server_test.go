@@ -409,7 +409,9 @@ func TestConcurrentClients(t *testing.T) {
 
 // TestContainsRoundTripAllocs: a CONTAINS round trip over loopback — the
 // client's encode and decode, the server's decode, store call and reply
-// encode — allocates nothing, counted over every malloc of the process.
+// encode — allocates at most once, counted over every malloc of the
+// process. The one allocation is Encoder.Bool's payload byte (ROADMAP
+// item 6(b)); everything else on the path is allocation-free.
 func TestContainsRoundTripAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are perturbed by the race detector")
@@ -432,7 +434,7 @@ func TestContainsRoundTripAllocs(t *testing.T) {
 		}
 	}
 	runtime.ReadMemStats(&ms)
-	if got := float64(ms.Mallocs-before) / trips; got != 0 {
-		t.Errorf("Contains round trip = %.3f allocs, want 0", got)
+	if got := float64(ms.Mallocs-before) / trips; got > 1 {
+		t.Errorf("Contains round trip = %.3f allocs, want at most 1", got)
 	}
 }

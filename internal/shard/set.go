@@ -230,8 +230,8 @@ type ShardInfo struct {
 	PrunedLinks  uint64
 	PoolNodeHits uint64
 	PoolNodePuts uint64
-	PoolInfoHits uint64 // info bodies served from the body pool
-	PoolInfoPuts uint64 // info bodies returned to the body pool
+	PoolInfoHits uint64 // info headers and bare info bodies taken from the pools
+	PoolInfoPuts uint64 // info headers and bare info bodies returned to the pools
 }
 
 // ShardInfos returns one ShardInfo per current shard, all read from a

@@ -339,12 +339,11 @@ func (e *Encoder) MLoad(keys []int64, last bool) error {
 
 // Bool writes a TagBool reply.
 func (e *Encoder) Bool(v bool) error {
-	buf := e.scratch[5:6]
-	buf[0] = 0
+	b := byte(0)
 	if v {
-		buf[0] = 1
+		b = 1
 	}
-	return e.fixed(TagBool, buf)
+	return e.fixed(TagBool, []byte{b})
 }
 
 // Int writes a TagInt reply.
