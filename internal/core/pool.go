@@ -142,7 +142,8 @@ type limboBatch[V any] struct {
 
 // headerList holds headers with zero refs through one pin drain. It
 // costs no memory of its own: a parked header carries a zeroed body (its
-// own, or one from the body pool) whose retireNext links the list, and
+// own, the drained body whose freeze CAS freed it, or one from the body
+// pool) whose retireNext links the list, and
 // newInfo hands the body out again with the header. Headers that join a
 // list add the stripes busy at that moment to waiting, so every header
 // waits at least for the stripes busy when it joined.
